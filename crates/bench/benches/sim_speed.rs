@@ -1,8 +1,8 @@
 //! Simulator speed tracker: how many simulated pipeline cycles per second
 //! of wall clock the `ehdl-hwsim` hot loop sustains on Figure-9a-style
 //! runs (all five evaluation apps, 40k packets at 64 B line rate), under
-//! both stage engines — the reference interpreter and the compiled
-//! backend.
+//! both plans: unfused (every op through the generic per-op path,
+//! reported as `"interpreter"`) and fused (reported as `"compiled"`).
 //!
 //! Writes `BENCH_sim_speed.json` at the workspace root so
 //! `scripts/check.sh` can fail on regressions. Usage:
@@ -19,45 +19,63 @@
 //!   baseline fails;
 //! - per app: flush/replay counts within bounds of the recorded baseline
 //!   (the workload is deterministic, so a jump means a hazard-handling
-//!   regression, not noise) and bit-equal across the two backends;
-//! - the compiled backend must beat the interpreter by
+//!   regression, not noise) and bit-equal across the two plans;
+//! - the fused plan must beat the unfused one by
 //!   [`MIN_FIREWALL_SPEEDUP`] in `packets_per_sec` on the firewall (fig9a)
 //!   run, measured live as an interleaved min-of-3 so machine noise hits
-//!   both engines alike (see DESIGN.md "Compiled backend" for why the bar
-//!   sits where it does);
-//! - every compiled run forces `Backend::Compiled`, so an app whose plan
-//!   stops lowering aborts the bench instead of silently measuring the
-//!   interpreter.
+//!   both plans alike (see DESIGN.md "Compiled stages" for why the bar
+//!   sits where it does).
+//!
+//! Before measuring, a pre-flight (always on) compares each app's fused
+//! plan against [`LOWERING_PINS`] and names every app that grew its
+//! [`FusedOp::Interp`] op count or its delta-stage count, so no app
+//! silently stops being compiled.
 
 use ehdl_bench::sim_speed::{measure, measure_all, read_recorded, write_report, REPORT_PATH};
-use ehdl_core::Compiler;
-use ehdl_hwsim::Backend;
+use ehdl_core::{Compiler, FusedOp, LoweredPlan};
 use ehdl_programs::App;
 
-/// Minimum live compiled-over-interpreter speedup on the fig9a firewall
+/// Minimum live fused-over-unfused speedup on the fig9a firewall
 /// run. Interleaved min-of-N measurement sustains 1.4-1.5x on this
 /// workload; the bar sits below that with margin for shared-core CI noise.
 /// The cost decomposition bounding the achievable ratio (most of a cycle
-/// is semantic work both engines must do: map-helper bodies, the slot
+/// is semantic work both plans must do: map-helper bodies, the slot
 /// walk, rollback snapshots) is documented in DESIGN.md "Compiled
-/// backend".
+/// stages".
 const MIN_FIREWALL_SPEEDUP: f64 = 1.25;
 
+/// Per app: `(app, FusedOp::Interp ops, delta stages)` of its fused plan.
+/// Growing either count moves work off the fused path.
+const LOWERING_PINS: [(App, usize, usize); 5] = [
+    (App::Firewall, 0, 0),
+    (App::Router, 0, 4),
+    (App::Tunnel, 1, 6),
+    (App::Dnat, 0, 2),
+    (App::Suricata, 0, 0),
+];
+
 fn main() {
-    // Fail fast and loudly if any app's plan stopped lowering: the
-    // compiled sweep below would panic anyway, but this names every
-    // offender instead of the first one.
-    let mut broken = Vec::new();
-    for app in App::ALL {
+    let mut grown = Vec::new();
+    for (app, pinned_interp, pinned_delta) in LOWERING_PINS {
         let design = Compiler::new().compile(&app.program()).expect("app compiles");
-        if let Err(e) = ehdl_core::LoweredPlan::try_lower(&design) {
-            broken.push(format!("{}: {e}", app.name()));
+        let Ok(lp) = LoweredPlan::try_lower(&design);
+        let interp = (0..lp.stage_count())
+            .flat_map(|s| lp.stage_fused(s))
+            .filter(|&&f| f == FusedOp::Interp)
+            .count();
+        let delta = lp.stats().delta_stages;
+        if interp > pinned_interp || delta > pinned_delta {
+            grown.push(format!(
+                "{}: {interp} Interp ops / {delta} delta stages (pinned {pinned_interp} / \
+                 {pinned_delta})",
+                app.name()
+            ));
         }
     }
-    assert!(broken.is_empty(), "apps no longer lower to the compiled backend: {broken:?}");
+    assert!(grown.is_empty(), "apps lost fused lowering: {grown:?}");
 
     // One warm-up (page-in, map setup) then the measured sweep.
-    let _ = measure(App::Firewall, Backend::Compiled, 8_000);
+    let _ = measure(App::Firewall, true, 8_000);
     let reports = measure_all(ehdl_bench::EVAL_PACKETS);
     for r in &reports {
         println!(
@@ -101,7 +119,7 @@ fn main() {
     if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
         let mut failures = Vec::new();
 
-        // The two engines must agree bit-exactly on the deterministic
+        // The two plans must agree bit-exactly on the deterministic
         // workload: same cycle count, same flush/replay behaviour.
         for app in App::ALL {
             let i = entry(app.name(), "interpreter");
@@ -122,16 +140,13 @@ fn main() {
         }
 
         // Live speedup gate on the fig9a app. Interleaved min-of-3 so a
-        // load spike on a shared core penalizes both engines, not
+        // load spike on a shared core penalizes both plans, not
         // whichever one it happened to land on.
         let mut best_i = f64::INFINITY;
         let mut best_c = f64::INFINITY;
         for _ in 0..3 {
-            best_i = best_i.min(
-                measure(App::Firewall, Backend::Interpreter, ehdl_bench::EVAL_PACKETS).wall_secs,
-            );
-            best_c = best_c
-                .min(measure(App::Firewall, Backend::Compiled, ehdl_bench::EVAL_PACKETS).wall_secs);
+            best_i = best_i.min(measure(App::Firewall, false, ehdl_bench::EVAL_PACKETS).wall_secs);
+            best_c = best_c.min(measure(App::Firewall, true, ehdl_bench::EVAL_PACKETS).wall_secs);
         }
         let speedup = best_i / best_c;
         if speedup < MIN_FIREWALL_SPEEDUP {

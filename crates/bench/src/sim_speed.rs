@@ -3,15 +3,14 @@
 //! regressions show up in CI (`scripts/check.sh`) instead of as mysteriously
 //! slow figure regeneration.
 //!
-//! Since the compiled backend landed, the sweep covers every evaluation app
-//! under both stage engines (interpreter and compiled), and the recorded
-//! baseline keeps one entry per `(app, backend)` pair. The compiled runs
-//! force [`Backend::Compiled`], so a plan that stops lowering fails the
-//! bench loudly instead of silently measuring the interpreter.
+//! The sweep covers every evaluation app under both plans the simulator
+//! can run — unfused (every op through the generic per-op path, reported
+//! as `"interpreter"`) and fused (reported as `"compiled"`) — and the
+//! recorded baseline keeps one entry per `(app, backend)` pair.
 
 use crate::{eval_packets, setup_app};
 use ehdl_core::Compiler;
-use ehdl_hwsim::{Backend, NicShell, ShellOptions};
+use ehdl_hwsim::{NicShell, ShellOptions};
 use ehdl_programs::App;
 use std::time::Instant;
 
@@ -23,7 +22,7 @@ pub const REPORT_PATH: &str = "BENCH_sim_speed.json";
 pub struct SimSpeedReport {
     /// Application under simulation.
     pub app: String,
-    /// Stage engine used (`"interpreter"` or `"compiled"`).
+    /// Plan run: `"interpreter"` (unfused) or `"compiled"` (fused).
     pub backend: String,
     /// Packets pushed through the shell.
     pub packets: usize,
@@ -41,34 +40,24 @@ pub struct SimSpeedReport {
     pub flush_replays: u64,
 }
 
-/// The printable name of a benchmarked backend.
-pub fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Interpreter => "interpreter",
-        Backend::Compiled => "compiled",
-        Backend::Auto => "auto",
+/// The recorded name of the fused (`"compiled"`) or unfused
+/// (`"interpreter"`) plan.
+pub fn backend_name(fuse: bool) -> &'static str {
+    if fuse {
+        "compiled"
+    } else {
+        "interpreter"
     }
 }
 
 /// Run the Figure-9a-style workload for `app` (`packets` packets, 64 B,
-/// 100 Gbps arrivals) on the requested stage engine and time the simulator.
-///
-/// # Panics
-///
-/// Panics if `backend` is [`Backend::Compiled`] and the app's plan does not
-/// lower — a compiled measurement must never silently fall back.
-pub fn measure(app: App, backend: Backend, packets: usize) -> SimSpeedReport {
+/// 100 Gbps arrivals) on the fused or unfused plan and time the simulator.
+pub fn measure(app: App, fuse: bool, packets: usize) -> SimSpeedReport {
     let design = Compiler::new().compile(&app.program()).expect("app compiles");
     let stream = eval_packets(app, packets);
     let mut options = ShellOptions::default();
-    options.sim.backend = backend;
+    options.sim.fuse = fuse;
     let mut shell = NicShell::new(&design, options);
-    assert_eq!(
-        shell.sim_mut().active_backend(),
-        backend,
-        "{} must run on the requested backend",
-        app.name(),
-    );
     setup_app(app, shell.sim_mut().maps_mut());
     let start = Instant::now();
     let report = shell.run(stream);
@@ -78,7 +67,7 @@ pub fn measure(app: App, backend: Backend, packets: usize) -> SimSpeedReport {
     let counters = shell.counters();
     SimSpeedReport {
         app: app.name().to_string(),
-        backend: backend_name(backend).to_string(),
+        backend: backend_name(fuse).to_string(),
         packets,
         cycles,
         wall_secs,
@@ -89,12 +78,12 @@ pub fn measure(app: App, backend: Backend, packets: usize) -> SimSpeedReport {
     }
 }
 
-/// Sweep every evaluation app under both stage engines.
+/// Sweep every evaluation app under both plans, unfused first.
 pub fn measure_all(packets: usize) -> Vec<SimSpeedReport> {
     let mut out = Vec::new();
     for app in App::ALL {
-        for backend in [Backend::Interpreter, Backend::Compiled] {
-            out.push(measure(app, backend, packets));
+        for fuse in [false, true] {
+            out.push(measure(app, fuse, packets));
         }
     }
     out
@@ -196,10 +185,10 @@ mod tests {
 
     #[test]
     fn measure_small_run_reports_consistent_rates() {
-        for backend in [Backend::Interpreter, Backend::Compiled] {
-            let r = measure(App::Firewall, backend, 512);
+        for fuse in [false, true] {
+            let r = measure(App::Firewall, fuse, 512);
             assert_eq!(r.packets, 512);
-            assert_eq!(r.backend, backend_name(backend));
+            assert_eq!(r.backend, backend_name(fuse));
             assert!(r.cycles > 0);
             assert!(r.cycles_per_sec > 0.0);
             assert!((r.cycles as f64 / r.wall_secs - r.cycles_per_sec).abs() < 1.0);
@@ -208,9 +197,9 @@ mod tests {
 
     #[test]
     fn backends_agree_on_deterministic_workload_counters() {
-        let interp = measure(App::Firewall, Backend::Interpreter, 2_000);
-        let compiled = measure(App::Firewall, Backend::Compiled, 2_000);
-        assert_eq!(interp.cycles, compiled.cycles, "cycle-exact across backends");
+        let interp = measure(App::Firewall, false, 2_000);
+        let compiled = measure(App::Firewall, true, 2_000);
+        assert_eq!(interp.cycles, compiled.cycles, "cycle-exact across plans");
         assert_eq!(interp.flushes, compiled.flushes);
         assert_eq!(interp.flush_replays, compiled.flush_replays);
     }

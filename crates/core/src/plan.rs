@@ -4,17 +4,16 @@
 //! every in-flight packet; going back to [`PipelineDesign`]'s nested
 //! `Vec`s on each visit forced it to clone op lists and predecessor
 //! tables to satisfy the borrow checker. [`ExecPlan`] flattens everything
-//! the hot loop needs — per-stage op slices, the block predecessor table
-//! in topological order, and a per-block guard index — into contiguous
-//! storage built once per design. Shared behind an `Arc`, it lets the
-//! executor borrow instead of clone.
+//! the hot loop needs — per-stage op slices and the block predecessor
+//! table in topological order — into contiguous storage built once per
+//! design. Shared behind an `Arc`, it lets the executor borrow instead of
+//! clone. [`LoweredPlan`] is the per-stage program the executor runs.
 
 use crate::ir::{HwInsn, Interval, MapUse, MemLabel};
 use crate::pipeline::{EdgeCond, PipelineDesign, Protection, StageOp};
 use ehdl_ebpf::helpers::{
-    BPF_CSUM_DIFF, BPF_GET_PRANDOM_U32, BPF_GET_SMP_PROCESSOR_ID, BPF_KTIME_GET_NS,
-    BPF_MAP_DELETE_ELEM, BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM, BPF_REDIRECT,
-    BPF_XDP_ADJUST_HEAD, BPF_XDP_ADJUST_TAIL,
+    BPF_GET_PRANDOM_U32, BPF_GET_SMP_PROCESSOR_ID, BPF_KTIME_GET_NS, BPF_MAP_DELETE_ELEM,
+    BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM, BPF_REDIRECT,
 };
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::opcode::{AluOp, AtomicOp, JmpOp, MemSize, Width};
@@ -134,8 +133,6 @@ pub fn control_inventory(design: &PipelineDesign) -> ControlInventory {
 pub struct ExecPlan {
     nblocks: usize,
     nmaps: usize,
-    /// Owning block of each stage.
-    stage_block: Vec<u32>,
     /// All stage ops, flattened; `stage_ops[s]` indexes `ops[a..b]`.
     ops: Vec<StageOp>,
     stage_ops: Vec<(u32, u32)>,
@@ -145,9 +142,6 @@ pub struct ExecPlan {
     /// iterative forward walk resolves all enable signals.
     preds: Vec<(u32, EdgeCond)>,
     block_preds: Vec<(u32, u32)>,
-    /// Strictest implicit length guard per block (§4.4), or `i64::MIN`
-    /// when the block carries none: a packet shorter than this faults.
-    guard_min_len: Vec<i64>,
     /// Checkpoint schedule for partial flushes: `true` at every stage some
     /// FEB lists as a protected read stage. The simulator snapshots state
     /// *before* executing these stages so a flush can resume the window
@@ -180,12 +174,10 @@ impl ExecPlan {
         let nblocks = design.blocks.len();
         let mut ops = Vec::new();
         let mut stage_ops = Vec::with_capacity(design.stages.len());
-        let mut stage_block = Vec::with_capacity(design.stages.len());
         for stage in &design.stages {
             let a = ops.len() as u32;
             ops.extend(stage.ops.iter().cloned());
             stage_ops.push((a, ops.len() as u32));
-            stage_block.push(stage.block as u32);
         }
         let mut preds = Vec::new();
         let mut block_preds = Vec::with_capacity(nblocks);
@@ -196,10 +188,6 @@ impl ExecPlan {
                 preds.push((p as u32, cond));
             }
             block_preds.push((a, preds.len() as u32));
-        }
-        let mut guard_min_len = vec![i64::MIN; nblocks];
-        for &(gb, min_len) in &design.guards {
-            guard_min_len[gb] = guard_min_len[gb].max(min_len);
         }
         let mut checkpoint_stage = vec![false; design.stages.len()];
         for feb in &design.hazards.febs {
@@ -229,12 +217,10 @@ impl ExecPlan {
         ExecPlan {
             nblocks,
             nmaps: design.maps.len(),
-            stage_block,
             ops,
             stage_ops,
             preds,
             block_preds,
-            guard_min_len,
             checkpoint_stage,
             protect: design.protect,
             control: control_inventory(design),
@@ -261,12 +247,6 @@ impl ExecPlan {
         self.nmaps
     }
 
-    /// The block owning stage `s`.
-    #[inline]
-    pub fn stage_block(&self, s: usize) -> usize {
-        self.stage_block[s] as usize
-    }
-
     /// The ops scheduled in stage `s` (empty for wait/latency stages).
     #[inline]
     pub fn stage_ops(&self, s: usize) -> &[StageOp] {
@@ -279,12 +259,6 @@ impl ExecPlan {
     pub fn preds_of(&self, b: usize) -> &[(u32, EdgeCond)] {
         let (a, z) = self.block_preds[b];
         &self.preds[a as usize..z as usize]
-    }
-
-    /// The strictest implicit length guard on block `b`, or `i64::MIN`.
-    #[inline]
-    pub fn guard_min_len(&self, b: usize) -> i64 {
-        self.guard_min_len[b]
     }
 
     /// Whether stage `s` is a FEB-protected read stage and must take a
@@ -327,53 +301,8 @@ impl ExecPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Lowered plan: the compiled simulator backend's specialized form.
+// Lowered plan: the per-stage program the simulator executes.
 // ---------------------------------------------------------------------------
-
-/// Why a design could not be lowered for the compiled simulator backend.
-///
-/// A lowering failure is *not* a compile error: the simulator falls back
-/// to the interpreter, which executes every plan. The typed error exists
-/// so callers can tell a deliberate fallback from a silent one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LowerError {
-    /// A stage calls a helper the executor has no semantics for; the
-    /// interpreter would fault the packet at runtime, so the lowerer
-    /// rejects the plan outright instead of baking a guaranteed fault.
-    UnsupportedHelper {
-        /// Pipeline stage of the offending call.
-        stage: usize,
-        /// Original bytecode slot of the call.
-        pc: usize,
-        /// The unknown helper id.
-        helper: u32,
-    },
-    /// A map-touching op references a map id absent from the design, so
-    /// no key/value geometry can be baked for it.
-    UnknownMap {
-        /// Pipeline stage of the offending op.
-        stage: usize,
-        /// Original bytecode slot of the op.
-        pc: usize,
-        /// The unresolvable map id.
-        map: u32,
-    },
-}
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerError::UnsupportedHelper { stage, pc, helper } => {
-                write!(f, "stage {stage} pc {pc}: helper {helper} has no compiled specialization")
-            }
-            LowerError::UnknownMap { stage, pc, map } => {
-                write!(f, "stage {stage} pc {pc}: map {map} is not declared by the design")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
 
 /// A pre-resolved register-or-immediate operand. Immediates are already
 /// sign-extended to 64 bits, so the executor never widens at runtime.
@@ -389,8 +318,8 @@ pub enum RegOrImm {
 ///
 /// Fused ops are in 1:1 correspondence with the stage's [`StageOp`]s (same
 /// order, same count): op `i` of a lowered stage specializes op `i` of the
-/// interpreter's stage. That invariant lets the executor fall back to the
-/// interpreter's generic op path *per op* when a runtime guard fails.
+/// design's stage. That invariant lets the executor fall back to its
+/// generic op path *per op* when a runtime guard fails.
 ///
 /// All plan-derived constants — immediates (pre-sign-extended), map handle
 /// values, key/value geometry, WAR delays and FEB read stages — are baked
@@ -649,7 +578,7 @@ pub enum FusedOp {
     /// `bpf_redirect`.
     Redirect,
     /// No specialization: the executor runs the original [`StageOp`] at
-    /// the same index through the interpreter's per-op path. Any stage
+    /// the same index through its generic per-op path. Any stage
     /// containing one of these is forced to delta (two-phase) mode.
     Interp,
 }
@@ -664,8 +593,8 @@ pub struct LoweredStage {
     pub guard_min_len: i64,
     /// Index range into the plan's fused-op array.
     ops: (u32, u32),
-    /// Execute in two-phase (delta) mode through the interpreter's op
-    /// loop: set when the stage has an intra-stage read-after-write, a
+    /// Execute in two-phase (delta) mode through the generic op loop:
+    /// set when the stage has an intra-stage read-after-write, a
     /// flush-capable op past index 0, or an op with no specialization.
     /// Direct mode (the fast path) writes packet state in place.
     pub delta: bool,
@@ -682,26 +611,30 @@ pub struct LowerStats {
     pub fused_ops: usize,
 }
 
-/// The compiled simulator backend's specialized execution plan.
+/// The simulator's per-stage execution plan.
 ///
-/// Produced once at attach time by [`LoweredPlan::try_lower`]: every
-/// [`StageOp`] is monomorphized into a [`FusedOp`] with its operands
-/// resolved and its plan constants (immediates, map geometry, WAR delays,
-/// FEB schedules, block guards) baked in, and every stage is classified
-/// as *direct* (ops write packet state in place — no per-stage write-set
-/// indirection) or *delta* (two-phase, bit-identical to the interpreter
-/// by construction because it *is* the interpreter's op loop).
+/// Built once at attach time. [`LoweredPlan::try_lower`] fuses: every
+/// [`StageOp`] it has a specialization for is monomorphized into a
+/// [`FusedOp`] with its operands resolved and its plan constants
+/// (immediates, map geometry, WAR delays, FEB schedules) baked in, and
+/// every stage is classified as *direct* (ops write packet state in place
+/// — no per-stage write-set indirection) or *delta* (two-phase: every op
+/// runs through the generic per-op path and commits at the stage
+/// boundary). [`LoweredPlan::unfused`] builds the reference plan: every
+/// op is [`FusedOp::Interp`] and every non-empty stage is delta. Both
+/// bake each stage's block and implicit length guard.
 ///
 /// Direct mode is sound only when no op observes an earlier op's write
-/// within the same stage — the interpreter's two-phase semantics make all
-/// reads see the stage-entry state. The lowerer proves that per stage
-/// from register read/write masks and the §3.1 memory labels, and demotes
-/// any stage it cannot prove.
+/// within the same stage — the two-phase semantics make all reads see
+/// the stage-entry state. The lowerer proves that per stage from register
+/// read/write masks and the §3.1 memory labels, and demotes any stage it
+/// cannot prove.
 #[derive(Debug, Clone)]
 pub struct LoweredPlan {
     stages: Vec<LoweredStage>,
     ops: Vec<FusedOp>,
     stats: LowerStats,
+    fused: bool,
 }
 
 /// Per-op effect summary used by the direct-mode eligibility analysis.
@@ -772,15 +705,29 @@ const HELPER_WRITES: u16 = 0b11_1111;
 const HELPER_READS: u16 = 0b11_1110;
 
 impl LoweredPlan {
-    /// Lower `design` into a compiled-backend plan.
+    /// Lower `design` into a fused plan.
+    ///
+    /// Lowering is total: an op with no specialization (an unknown
+    /// helper, a map the design does not declare, an unlabeled access)
+    /// lowers to [`FusedOp::Interp`] in a delta stage, and the executor
+    /// resolves it at run time.
     ///
     /// # Errors
     ///
-    /// [`LowerError::UnsupportedHelper`] for helper calls the executor
-    /// has no semantics for, [`LowerError::UnknownMap`] when a
-    /// map-touching op names a map the design does not declare. Callers
-    /// are expected to fall back to the interpreter on error.
-    pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, LowerError> {
+    /// Never; the error type is [`Infallible`](std::convert::Infallible).
+    pub fn try_lower(design: &PipelineDesign) -> Result<LoweredPlan, std::convert::Infallible> {
+        Ok(LoweredPlan::build(design, true))
+    }
+
+    /// The unfused plan of `design`: every op is [`FusedOp::Interp`] and
+    /// every non-empty stage is delta, so each op runs through the
+    /// executor's generic per-op path — the reference semantics the fused
+    /// plan must match bit for bit.
+    pub fn unfused(design: &PipelineDesign) -> LoweredPlan {
+        LoweredPlan::build(design, false)
+    }
+
+    fn build(design: &PipelineDesign, fuse: bool) -> LoweredPlan {
         let mut guard_min_len = vec![i64::MIN; design.blocks.len()];
         for &(gb, min_len) in &design.guards {
             guard_min_len[gb] = guard_min_len[gb].max(min_len);
@@ -794,9 +741,14 @@ impl LoweredPlan {
             let mut written: u16 = 0;
             let mut mem_writes: Vec<MemAcc> = Vec::new();
             for (i, op) in stage.ops.iter().enumerate() {
-                let (fused, eff) = lower_op(design, s, op)?;
-                if matches!(fused, FusedOp::Interp)
-                    || (eff.flush_capable && i > 0)
+                let Some((fused, eff)) = fuse.then(|| lower_op(design, s, op)).flatten() else {
+                    // The stage runs two-phase, so this op's effects
+                    // cannot reorder against its neighbours'.
+                    delta = true;
+                    ops.push(FusedOp::Interp);
+                    continue;
+                };
+                if (eff.flush_capable && i > 0)
                     || (eff.reads & written) != 0
                     || eff.mem_read.is_some_and(|r| mem_writes.iter().any(|&w| acc_overlaps(w, r)))
                 {
@@ -823,7 +775,14 @@ impl LoweredPlan {
             });
         }
         stats.fused_ops = ops.len();
-        Ok(LoweredPlan { stages, ops, stats })
+        LoweredPlan { stages, ops, stats, fused: fuse }
+    }
+
+    /// Whether this plan came from [`LoweredPlan::try_lower`] rather than
+    /// [`LoweredPlan::unfused`].
+    #[inline]
+    pub fn is_fused(&self) -> bool {
+        self.fused
     }
 
     /// Number of pipeline stages (equals the source plan's).
@@ -859,17 +818,12 @@ struct MapGeom {
     stride: u32,
 }
 
-fn map_geom(design: &PipelineDesign, s: usize, pc: usize, map: u32) -> Result<MapGeom, LowerError> {
-    design
-        .maps
-        .iter()
-        .find(|d| d.id == map)
-        .map(|d| MapGeom {
-            key_size: d.key_size,
-            value_size: d.value_size,
-            stride: d.value_stride(),
-        })
-        .ok_or(LowerError::UnknownMap { stage: s, pc, map })
+fn map_geom(design: &PipelineDesign, map: u32) -> Option<MapGeom> {
+    design.maps.iter().find(|d| d.id == map).map(|d| MapGeom {
+        key_size: d.key_size,
+        value_size: d.value_size,
+        stride: d.value_stride(),
+    })
 }
 
 /// Baked WAR delay for a write to `map` at stage `s`.
@@ -896,16 +850,14 @@ fn feb_read_stage_of(design: &PipelineDesign, map: u32, s: usize) -> u32 {
 
 const NO_MEM: (Option<MemAcc>, Option<MemAcc>) = (None, None);
 
+/// Specialize one op of stage `s`, or `None` when it has no
+/// specialization and must run as [`FusedOp::Interp`].
 #[allow(clippy::too_many_lines)]
-fn lower_op(
-    design: &PipelineDesign,
-    s: usize,
-    op: &StageOp,
-) -> Result<(FusedOp, OpEffects), LowerError> {
+fn lower_op(design: &PipelineDesign, s: usize, op: &StageOp) -> Option<(FusedOp, OpEffects)> {
     let eff = |reads: u16, writes: u16, mem: (Option<MemAcc>, Option<MemAcc>), fc: bool| {
         OpEffects { reads, writes, mem_read: mem.0, mem_write: mem.1, flush_capable: fc }
     };
-    Ok(match op.insn {
+    Some(match op.insn {
         HwInsn::Alu3 { op: aop, width, dst, a, b } => {
             let e = eff(bit(a) | operand_bit(b), bit(dst), NO_MEM, false);
             match b {
@@ -948,18 +900,18 @@ fn lower_op(
                 (FusedOp::MovImm { dst, imm: v }, eff(0, bit(dst), NO_MEM, false))
             }
             Instruction::Load { size, dst, src, off } => {
-                let e = |mem_read, fc| eff(bit(src), bit(dst), (mem_read, None), fc);
+                let e = |mem_read| eff(bit(src), bit(dst), (mem_read, None), false);
                 match op.label {
-                    MemLabel::Ctx(_) => (FusedOp::LdCtx { size, dst, src, off }, e(None, false)),
+                    MemLabel::Ctx(_) => (FusedOp::LdCtx { size, dst, src, off }, e(None)),
                     MemLabel::Stack(iv) => {
-                        (FusedOp::LdStk { size, dst, src, off }, e(Some(MemAcc::Stack(iv)), false))
+                        (FusedOp::LdStk { size, dst, src, off }, e(Some(MemAcc::Stack(iv))))
                     }
                     MemLabel::Packet(iv) => (
                         FusedOp::LdPkt { size, dst, src, off, proven: op.proof.is_some() },
-                        e(Some(MemAcc::Packet(iv)), false),
+                        e(Some(MemAcc::Packet(iv))),
                     ),
                     MemLabel::Map(m) => {
-                        let g = map_geom(design, s, op.pc, m)?;
+                        let g = map_geom(design, m)?;
                         (
                             FusedOp::LdMap {
                                 size,
@@ -971,27 +923,27 @@ fn lower_op(
                                 value_size: g.value_size,
                             },
                             // Map reads hit the stale-risk interlock.
-                            e(None, true),
+                            eff(bit(src), bit(dst), NO_MEM, true),
                         )
                     }
-                    MemLabel::None => (FusedOp::Interp, e(Some(MemAcc::Unknown), true)),
+                    MemLabel::None => return None,
                 }
             }
             Instruction::Store { size, dst, off, src } => {
                 let reads = bit(dst) | operand_bit(src);
-                let e = |mem_write, fc| eff(reads, 0, (None, mem_write), fc);
+                let e = |mem_write| eff(reads, 0, (None, mem_write), false);
                 let v = reg_or_imm(src);
                 match op.label {
                     MemLabel::Stack(iv) => (
                         FusedOp::StStk { size, base: dst, off, src: v },
-                        e(Some(MemAcc::Stack(iv)), false),
+                        e(Some(MemAcc::Stack(iv))),
                     ),
                     MemLabel::Packet(iv) => (
                         FusedOp::StPkt { size, base: dst, off, src: v, proven: op.proof.is_some() },
-                        e(Some(MemAcc::Packet(iv)), false),
+                        e(Some(MemAcc::Packet(iv))),
                     ),
                     MemLabel::Map(m) => {
-                        let g = map_geom(design, s, op.pc, m)?;
+                        let g = map_geom(design, m)?;
                         (
                             FusedOp::StMap {
                                 size,
@@ -1004,12 +956,10 @@ fn lower_op(
                                 delay: war_delay_of(design, m, s),
                                 feb_read_stage: feb_read_stage_of(design, m, s),
                             },
-                            e(None, false),
+                            e(None),
                         )
                     }
-                    MemLabel::Ctx(_) | MemLabel::None => {
-                        (FusedOp::Interp, e(Some(MemAcc::Unknown), true))
-                    }
+                    MemLabel::Ctx(_) | MemLabel::None => return None,
                 }
             }
             Instruction::Atomic { op: aop, size, dst, off, src } => {
@@ -1024,7 +974,7 @@ fn lower_op(
                 };
                 match op.label {
                     MemLabel::Map(m) => {
-                        let g = map_geom(design, s, op.pc, m)?;
+                        let g = map_geom(design, m)?;
                         (
                             FusedOp::AtomicMap {
                                 op: aop,
@@ -1039,10 +989,7 @@ fn lower_op(
                             eff(reads, writes, NO_MEM, true),
                         )
                     }
-                    _ => (
-                        FusedOp::Interp,
-                        eff(reads, writes, (Some(MemAcc::Unknown), Some(MemAcc::Unknown)), true),
-                    ),
+                    _ => return None,
                 }
             }
             Instruction::Jump { cond, .. } => match cond {
@@ -1064,28 +1011,18 @@ fn lower_op(
                 let mem_in = Some(MemAcc::Unknown);
                 match helper {
                     BPF_MAP_LOOKUP_ELEM => {
-                        let Some(MapUse::Lookup(m)) = op.map_use else {
-                            // No resolved map: run the interpreter's
-                            // handle-decoding path.
-                            return Ok((
-                                FusedOp::Interp,
-                                eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true),
-                            ));
-                        };
-                        let g = map_geom(design, s, op.pc, m)?;
+                        // No resolved map: the generic path decodes the
+                        // handle at run time.
+                        let Some(MapUse::Lookup(m)) = op.map_use else { return None };
+                        let g = map_geom(design, m)?;
                         (
                             FusedOp::Lookup { map: m, key_size: g.key_size, stride: g.stride },
                             eff(bit(1) | bit(2), HELPER_WRITES, (mem_in, None), true),
                         )
                     }
                     BPF_MAP_UPDATE_ELEM | BPF_MAP_DELETE_ELEM => {
-                        let Some(MapUse::HelperWrite(m)) = op.map_use else {
-                            return Ok((
-                                FusedOp::Interp,
-                                eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true),
-                            ));
-                        };
-                        let g = map_geom(design, s, op.pc, m)?;
+                        let Some(MapUse::HelperWrite(m)) = op.map_use else { return None };
+                        let g = map_geom(design, m)?;
                         let delay = war_delay_of(design, m, s);
                         let feb = feb_read_stage_of(design, m, s);
                         let fused = if helper == BPF_MAP_UPDATE_ELEM {
@@ -1112,16 +1049,8 @@ fn lower_op(
                         (FusedOp::SmpId, eff(0, HELPER_WRITES, NO_MEM, false))
                     }
                     BPF_REDIRECT => (FusedOp::Redirect, eff(bit(1), HELPER_WRITES, NO_MEM, false)),
-                    BPF_XDP_ADJUST_HEAD | BPF_XDP_ADJUST_TAIL => (
-                        // Moves packet geometry, which every packet access
-                        // implicitly reads: model as an unknown write.
-                        FusedOp::Interp,
-                        eff(HELPER_READS, HELPER_WRITES, (None, Some(MemAcc::Unknown)), false),
-                    ),
-                    BPF_CSUM_DIFF => {
-                        (FusedOp::Interp, eff(HELPER_READS, HELPER_WRITES, (mem_in, None), true))
-                    }
-                    _ => return Err(LowerError::UnsupportedHelper { stage: s, pc: op.pc, helper }),
+                    // Geometry-moving, checksum and unknown helpers.
+                    _ => return None,
                 }
             }
             Instruction::Exit => (FusedOp::Exit, eff(bit(0), 0, NO_MEM, false)),
@@ -1163,7 +1092,6 @@ mod tests {
         assert_eq!(plan.block_count(), design.blocks.len());
         assert_eq!(plan.map_count(), design.maps.len());
         for (s, stage) in design.stages.iter().enumerate() {
-            assert_eq!(plan.stage_block(s), stage.block);
             assert_eq!(plan.stage_ops(s).len(), stage.ops.len());
         }
         for (b, info) in design.blocks.iter().enumerate() {
@@ -1240,16 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_index_takes_strictest() {
-        let mut design = branchy_design();
-        design.guards = vec![(0, 14), (0, 34), (1, 20)];
-        let plan = ExecPlan::new(&design);
-        assert_eq!(plan.guard_min_len(0), 34);
-        assert_eq!(plan.guard_min_len(1), 20);
-        assert_eq!(plan.guard_min_len(2), i64::MIN);
-    }
-
-    #[test]
     fn lowering_is_one_to_one_with_stage_ops() {
         let design = branchy_design();
         let lowered = LoweredPlan::try_lower(&design).expect("branchy design lowers");
@@ -1272,12 +1190,37 @@ mod tests {
     #[test]
     fn lowering_bakes_strictest_guard_per_block() {
         let mut design = branchy_design();
-        design.guards = vec![(0, 14), (0, 34)];
-        let lowered = LoweredPlan::try_lower(&design).unwrap();
-        let plan = ExecPlan::new(&design);
-        for s in 0..lowered.stage_count() {
-            assert_eq!(lowered.stage(s).guard_min_len, plan.guard_min_len(plan.stage_block(s)));
+        design.guards = vec![(0, 14), (0, 34), (1, 20)];
+        assert!(design.stages.iter().any(|st| st.block > 1), "some stage carries no guard");
+        for lowered in [LoweredPlan::try_lower(&design).unwrap(), LoweredPlan::unfused(&design)] {
+            for (s, stage) in design.stages.iter().enumerate() {
+                let want = match stage.block {
+                    0 => 34,
+                    1 => 20,
+                    _ => i64::MIN,
+                };
+                assert_eq!(lowered.stage(s).guard_min_len, want, "stage {s}");
+                assert_eq!(lowered.stage(s).block as usize, stage.block);
+            }
         }
+    }
+
+    #[test]
+    fn unfused_plan_is_all_interp_and_delta() {
+        let design = branchy_design();
+        let fused = LoweredPlan::try_lower(&design).unwrap();
+        let unfused = LoweredPlan::unfused(&design);
+        assert!(fused.is_fused() && !unfused.is_fused());
+        assert_eq!(unfused.stage_count(), design.stages.len());
+        for (s, stage) in design.stages.iter().enumerate() {
+            assert_eq!(unfused.stage_fused(s).len(), stage.ops.len());
+            assert!(unfused.stage_fused(s).iter().all(|f| *f == FusedOp::Interp), "stage {s}");
+            assert_eq!(unfused.stage(s).delta, !stage.ops.is_empty(), "stage {s}");
+        }
+        let stats = unfused.stats();
+        assert_eq!(stats.direct_stages, 0);
+        assert_eq!(stats.delta_stages, fused.stats().direct_stages + fused.stats().delta_stages);
+        assert_eq!(stats.fused_ops, fused.stats().fused_ops);
     }
 
     #[test]
@@ -1308,26 +1251,6 @@ mod tests {
             FusedOp::MovImm { dst: 3, imm: u64::MAX },
             "mov64 -1 must bake the sign-extended result"
         );
-    }
-
-    #[test]
-    fn unsupported_helper_is_a_typed_error() {
-        use ehdl_ebpf::helpers::BPF_FIB_LOOKUP;
-        // The verifier rejects unknown helpers at load time, so a plan
-        // carrying one can only come from a future compiler feature —
-        // model that by splicing the call into a compiled design.
-        let mut design = branchy_design();
-        let op = &mut design.stages[0].ops[0];
-        op.insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
-        let err = LoweredPlan::try_lower(&design).expect_err("fib_lookup has no specialization");
-        match err {
-            LowerError::UnsupportedHelper { stage, helper, .. } => {
-                assert_eq!((stage, helper), (0, BPF_FIB_LOOKUP));
-            }
-            other => panic!("expected UnsupportedHelper, got {other:?}"),
-        }
-        // The error renders something a human can act on.
-        assert!(err.to_string().contains("helper"), "display: {err}");
     }
 
     #[test]

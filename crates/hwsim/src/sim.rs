@@ -2,7 +2,7 @@
 
 use ehdl_core::ir::{HwInsn, MapUse};
 use ehdl_core::pipeline::{EdgeCond, PipelineDesign};
-use ehdl_core::{ExecPlan, LowerError, LoweredPlan};
+use ehdl_core::{ExecPlan, LoweredPlan};
 use ehdl_ebpf::helpers::*;
 use ehdl_ebpf::insn::{Instruction, Operand};
 use ehdl_ebpf::maps::{MapStore, UpdateFlags};
@@ -65,29 +65,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Which execution engine runs the pipeline stages.
-///
-/// Both engines are cycle-accurate and bit-identical on every observable
-/// (outcomes, counters, telemetry, map state); the compiled backend is
-/// simply specialized at attach time. See the "Compiled backend" section
-/// of DESIGN.md.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// Lower the plan at attach time and use the compiled engine; fall
-    /// back to the interpreter (recording the typed [`LowerError`]) if
-    /// the plan has a feature the lowerer rejects, or when
-    /// [`SimOptions::check_proofs`] asks for per-access proof rechecks
-    /// (a validation mode the specialized ops deliberately elide).
-    #[default]
-    Auto,
-    /// Always interpret the [`ExecPlan`] op by op.
-    Interpreter,
-    /// Require the compiled engine; construction panics if the plan
-    /// cannot be lowered. For benches and tests that must not silently
-    /// measure the wrong engine.
-    Compiled,
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
@@ -114,9 +91,13 @@ pub struct SimOptions {
     /// proof (`op.proof`) against the concrete address and packet length;
     /// violations increment [`SimCounters::proof_violations`] without
     /// changing the verdict (the unguarded hardware would simply read).
+    /// Runs the unfused plan, since only the generic per-op path rechecks.
     pub check_proofs: bool,
-    /// Stage execution engine; see [`Backend`].
-    pub backend: Backend,
+    /// Run the fused plan ([`LoweredPlan::try_lower`]); `false` runs the
+    /// unfused reference plan ([`LoweredPlan::unfused`]), every op through
+    /// the generic per-op path. Both are cycle-accurate and bit-identical
+    /// on every observable; see DESIGN.md "Fused and unfused plans".
+    pub fuse: bool,
 }
 
 impl Default for SimOptions {
@@ -128,7 +109,7 @@ impl Default for SimOptions {
             poison_dead_state: false,
             partial_flush: true,
             check_proofs: false,
-            backend: Backend::Auto,
+            fuse: true,
         }
     }
 }
@@ -285,9 +266,9 @@ struct PacketState {
 struct StatePool {
     #[allow(clippy::vec_box)] // boxed so snapshot/restore moves a pointer
     free: Vec<Box<PacketState>>,
-    /// Retired unconfirmed-read key buffers. The compiled backend records
-    /// reads with pooled keys (instead of the interpreter's fresh
-    /// `to_vec`), so its lookup path is allocation-free once warm.
+    /// Retired unconfirmed-read key buffers. Fused lookups record reads
+    /// with pooled keys (instead of the generic path's fresh `to_vec`),
+    /// so their path is allocation-free once warm.
     keys: Vec<Vec<u8>>,
     /// Retired whole in-flight frames: a completed packet's box (state
     /// buffers, checkpoint vector, original-bytes buffer) is reused by the
@@ -401,15 +382,13 @@ struct PendingWrite {
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
     design: Arc<PipelineDesign>,
-    /// Flattened execution plan: per-stage op slices, topological block
-    /// predecessor table and guard index, shared so the hot loop can
-    /// borrow design data while mutating the simulator.
+    /// Flattened execution plan: per-stage op slices and the topological
+    /// block predecessor table, shared so the hot loop can borrow design
+    /// data while mutating the simulator.
     plan: Arc<ExecPlan>,
-    /// Attach-time specialized plan for the compiled backend; `None`
-    /// runs the interpreter (requested, proof-check mode, or fallback).
-    lowered: Option<Arc<LoweredPlan>>,
-    /// Why lowering failed, when [`Backend::Auto`] fell back.
-    lower_error: Option<LowerError>,
+    /// The per-stage program every stage executes: fused, or unfused
+    /// when [`SimOptions::fuse`] is off or proofs are rechecked.
+    lowered: Arc<LoweredPlan>,
     options: SimOptions,
     maps: MapStore,
     slots: Vec<Option<Box<InFlight>>>,
@@ -509,39 +488,17 @@ impl PipelineSim {
     }
 
     /// Instantiate with explicit options.
-    ///
-    /// # Panics
-    ///
-    /// With [`Backend::Compiled`], panics if the plan cannot be lowered
-    /// or `check_proofs` is set (the compiled ops elide exactly the
-    /// rechecks that mode exists to perform) — a forced backend must
-    /// never silently measure the wrong engine. [`Backend::Auto`] falls
-    /// back to the interpreter in both cases instead.
     pub fn with_options(design: &PipelineDesign, options: SimOptions) -> PipelineSim {
         assert!(
             design.blocks.len() <= MAX_BLOCKS,
             "design has {} blocks; the simulator supports at most {MAX_BLOCKS}",
             design.blocks.len()
         );
-        let (lowered, lower_error) = match options.backend {
-            Backend::Interpreter => (None, None),
-            Backend::Auto if options.check_proofs => (None, None),
-            Backend::Auto => match LoweredPlan::try_lower(design) {
-                Ok(lp) => (Some(Arc::new(lp)), None),
-                Err(e) => (None, Some(e)),
-            },
-            Backend::Compiled => {
-                assert!(
-                    !options.check_proofs,
-                    "check_proofs requires the interpreter (proof rechecks are \
-                     exactly what the compiled ops elide); use Backend::Auto \
-                     or Backend::Interpreter"
-                );
-                match LoweredPlan::try_lower(design) {
-                    Ok(lp) => (Some(Arc::new(lp)), None),
-                    Err(e) => panic!("Backend::Compiled forced but the plan does not lower: {e}"),
-                }
-            }
+        let lowered = if options.fuse && !options.check_proofs {
+            let Ok(lp) = LoweredPlan::try_lower(design);
+            lp
+        } else {
+            LoweredPlan::unfused(design)
         };
         let maps = MapStore::new(&design.maps);
         let nstages = design.stages.len();
@@ -555,8 +512,7 @@ impl PipelineSim {
         PipelineSim {
             design: Arc::new(design.clone()),
             plan,
-            lowered,
-            lower_error,
+            lowered: Arc::new(lowered),
             options,
             maps,
             slots: vec![None; nstages],
@@ -629,29 +585,6 @@ impl PipelineSim {
     /// The compiled design this simulator executes.
     pub fn design(&self) -> &PipelineDesign {
         &self.design
-    }
-
-    /// The engine actually executing stages: [`Backend::Compiled`] when a
-    /// lowered plan is attached, [`Backend::Interpreter`] otherwise.
-    /// Never [`Backend::Auto`] — that is a request, not a resolution.
-    pub fn active_backend(&self) -> Backend {
-        if self.lowered.is_some() {
-            Backend::Compiled
-        } else {
-            Backend::Interpreter
-        }
-    }
-
-    /// Why [`Backend::Auto`] fell back to the interpreter, if it did
-    /// because the plan would not lower. `None` under a compiled engine,
-    /// a requested interpreter, or a `check_proofs` fallback.
-    pub fn lower_error(&self) -> Option<&LowerError> {
-        self.lower_error.as_ref()
-    }
-
-    /// Lowering statistics of the attached compiled plan, if any.
-    pub fn lower_stats(&self) -> Option<ehdl_core::LowerStats> {
-        self.lowered.as_ref().map(|lp| lp.stats())
     }
 
     /// Per-map pipeline lookup counts (telemetry CSRs).
@@ -826,26 +759,25 @@ impl PipelineSim {
         }
 
         // 2. Advance the pipeline from the back. One refcount bump per
-        // cycle lets every stage borrow the plan while `self` stays
-        // mutable. The compiled backend runs a specialized walk whenever
-        // the cycle is provably regular; anything irregular (fault engine,
-        // host channel, pending replay stream, poison diagnostics) takes
-        // the reference walk with the same per-stage semantics.
+        // cycle lets every stage borrow the plans while `self` stays
+        // mutable. A fused plan runs a specialized walk whenever the cycle
+        // is provably regular; anything irregular (fault engine, host
+        // channel, pending replay stream, poison diagnostics) and every
+        // cycle of the unfused plan take the reference walk with the same
+        // per-stage semantics.
         let plan = Arc::clone(&self.plan);
+        let lp = Arc::clone(&self.lowered);
         let nstages = self.design.stages.len();
-        match self.lowered.clone() {
-            Some(lp)
-                if self.fault.is_none()
-                    && self.ctrl.is_none()
-                    && self.replay.is_empty()
-                    && !self.options.poison_dead_state =>
-            {
-                self.step_compiled_cycle(&lp, &plan, nstages);
-            }
-            lowered => {
-                for s in (0..nstages).rev() {
-                    self.step_stage(s, nstages, &plan, lowered.as_deref());
-                }
+        if lp.is_fused()
+            && self.fault.is_none()
+            && self.ctrl.is_none()
+            && self.replay.is_empty()
+            && !self.options.poison_dead_state
+        {
+            self.step_compiled_cycle(&lp, &plan, nstages);
+        } else {
+            for s in (0..nstages).rev() {
+                self.step_stage(s, nstages, &plan, &lp);
             }
         }
 
@@ -856,13 +788,7 @@ impl PipelineSim {
 
     /// One stage of the reference pipeline walk: stall checks, execution,
     /// advance/flush handling, and the partial-flush re-entry port.
-    fn step_stage(
-        &mut self,
-        s: usize,
-        nstages: usize,
-        plan: &ExecPlan,
-        lowered: Option<&LoweredPlan>,
-    ) {
+    fn step_stage(&mut self, s: usize, nstages: usize, plan: &ExecPlan, lp: &LoweredPlan) {
         if let Some(mut pkt) = self.slots[s].take() {
             self.stage_occupied[s] = self.stage_occupied[s].saturating_add(1);
             // A packet may not advance into an occupied slot, nor past
@@ -885,11 +811,7 @@ impl PipelineSim {
             if blocked {
                 self.slots[s] = Some(pkt);
             } else {
-                let result = match lowered {
-                    Some(lp) => self.exec_stage_compiled(s, &mut pkt, lp, plan),
-                    None => self.exec_stage(s, &mut pkt, plan),
-                };
-                match result {
+                match self.exec_stage(s, &mut pkt, lp, plan) {
                     StageResult::Ok => {
                         if s + 1 == nstages {
                             self.complete(pkt);
@@ -934,9 +856,9 @@ impl PipelineSim {
         }
     }
 
-    /// The compiled backend's specialized pipeline walk for a *regular*
-    /// cycle: no fault engine, no host channel, no queued replay stream,
-    /// no poison diagnostics. Under those preconditions no stall condition
+    /// The fused plan's specialized pipeline walk for a *regular* cycle:
+    /// no fault engine, no host channel, no queued replay stream, no
+    /// poison diagnostics. Under those preconditions no stall condition
     /// can hold — the walk runs back-to-front, so the slot ahead of every
     /// packet has already been vacated — and the per-stage stall checks,
     /// hang probes and replay-port polls drop out of the hot loop
@@ -948,7 +870,7 @@ impl PipelineSim {
         for s in (0..nstages).rev() {
             let Some(mut pkt) = self.slots[s].take() else { continue };
             self.stage_occupied[s] = self.stage_occupied[s].saturating_add(1);
-            match self.exec_stage_compiled(s, &mut pkt, lp, plan) {
+            match self.exec_stage(s, &mut pkt, lp, plan) {
                 StageResult::Ok => {
                     if s + 1 == nstages {
                         self.complete(pkt);
@@ -969,7 +891,7 @@ impl PipelineSim {
                     // below `s` (a FEB read precedes its write), so the
                     // skipped stage-`s` replay port could not have fired.
                     for t in (0..s).rev() {
-                        self.step_stage(t, nstages, plan, Some(lp));
+                        self.step_stage(t, nstages, plan, lp);
                     }
                     return;
                 }
@@ -980,7 +902,7 @@ impl PipelineSim {
                     self.slots[s] = Some(pkt);
                     self.flush_below(s + 1, s, None);
                     for t in (0..s).rev() {
-                        self.step_stage(t, nstages, plan, Some(lp));
+                        self.step_stage(t, nstages, plan, lp);
                     }
                     return;
                 }
@@ -1579,45 +1501,11 @@ impl PipelineSim {
         e
     }
 
-    fn exec_stage(&mut self, s: usize, pkt: &mut InFlight, plan: &ExecPlan) -> StageResult {
-        // Flush-replay fast path: skip until the checkpointed stage.
-        if let Some((resume_stage, _)) = pkt.resume {
-            if s < resume_stage {
-                return StageResult::Ok;
-            }
-            let (_, mut snap) = pkt.resume.take().expect("resume checked above");
-            std::mem::swap(&mut pkt.state, &mut *snap);
-            self.pool.recycle(snap);
-        }
-
-        let block = plan.stage_block(s);
-        let ops = plan.stage_ops(s);
-        if ops.is_empty() {
-            // Frame-wait / helper-latency stages forward state.
-            return StageResult::Ok;
-        }
-        if pkt.state.faulted || !self.block_enabled(&mut pkt.state, block) {
-            self.stage_disabled[s] = self.stage_disabled[s].saturating_add(1);
-            return StageResult::Ok;
-        }
-        self.stage_enabled[s] = self.stage_enabled[s].saturating_add(1);
-        // Implicit length guards from elided bounds checks (§4.4): the
-        // frame interface drops packets shorter than the guarded length.
-        let pkt_len = (pkt.state.end_off - pkt.state.data_off) as i64;
-        if pkt_len < plan.guard_min_len(block) {
-            pkt.state.faulted = true;
-            return StageResult::Ok;
-        }
-
-        self.exec_stage_two_phase(s, block, pkt, plan)
-    }
-
-    /// The interpreter's two-phase stage body: every op reads the incoming
-    /// state; writes land in the recycled scratch write set and commit
-    /// together at the stage boundary. Also the execution engine for
-    /// compiled *delta* stages (stages whose ops the lowerer could not
-    /// prove order-independent), which makes those stages bit-identical to
-    /// the interpreter by construction.
+    /// The two-phase stage body of every *delta* stage (all stages of the
+    /// unfused plan, and the fused stages whose ops the lowerer could not
+    /// prove order-independent): every op reads the incoming state through
+    /// the generic per-op path; writes land in the recycled scratch write
+    /// set and commit together at the stage boundary.
     fn exec_stage_two_phase(
         &mut self,
         s: usize,

@@ -1,10 +1,11 @@
-//! The compiled stage-execution engine.
+//! The stage-execution engine.
 //!
 //! At attach time [`LoweredPlan::try_lower`] monomorphizes every
-//! [`ehdl_core::StageOp`] into a [`FusedOp`] with its plan constants baked
-//! in (immediates pre-extended, map handles resolved, key/value geometry,
-//! WAR delays and FEB schedules inlined, block guards flattened). This
-//! module executes those ops.
+//! [`ehdl_core::StageOp`] it can into a [`FusedOp`] with its plan constants
+//! baked in (immediates pre-extended, map handles resolved, key/value
+//! geometry, WAR delays and FEB schedules inlined, block guards
+//! flattened); [`LoweredPlan::unfused`] leaves every op to the generic
+//! per-op path. This module executes either plan.
 //!
 //! Stages come in two flavors:
 //!
@@ -12,20 +13,21 @@
 //!   scratch write set, no per-stage `Delta` push/apply/clear, no plan
 //!   indirection. The lowerer only marks a stage direct when it proved no
 //!   op observes an earlier op's write within the stage, which makes
-//!   in-place execution bit-identical to the interpreter's two-phase
-//!   semantics by construction.
+//!   in-place execution bit-identical to the two-phase semantics by
+//!   construction.
 //! - **Delta** stages run through [`PipelineSim::exec_stage_two_phase`] —
-//!   literally the interpreter's op loop — so anything the lowerer could
-//!   not prove safe (intra-stage dependences, geometry-moving helpers,
-//!   ops without a specialization) stays on the reference path.
+//!   the generic op loop, every op through [`PipelineSim::exec_op`] — so
+//!   anything the lowerer could not prove safe (intra-stage dependences,
+//!   geometry-moving helpers, ops without a specialization) and every
+//!   stage of the unfused plan stays on the reference path.
 //!
 //! Every specialized op re-validates the compile-time memory label with a
-//! cheap range guard; a guard miss falls back to the interpreter's generic
-//! per-op path ([`PipelineSim::exec_op_cold`]) at the same op index, which
-//! the 1:1 `FusedOp`↔`StageOp` correspondence makes exact. The one
-//! deliberate elision is the packet bounds compare for accesses the
-//! abstract interpreter proved in range (`proven`), per the §4.4 hardware
-//! semantics of dropping the check entirely.
+//! cheap range guard; a guard miss falls back to the generic per-op path
+//! ([`PipelineSim::exec_op_cold`]) at the same op index, which the 1:1
+//! `FusedOp`↔`StageOp` correspondence makes exact. The one deliberate
+//! elision is the packet bounds compare for accesses the abstract
+//! interpreter proved in range (`proven`), per the §4.4 hardware semantics
+//! of dropping the check entirely.
 
 use super::*;
 use ehdl_core::{FusedOp, RegOrImm};
@@ -41,7 +43,7 @@ struct DirectCtl {
 /// Decode `addr` as a value address of the *baked* map, mirroring
 /// [`decode_map_value_addr`] specialized to one `(map, stride)` pair:
 /// `Some((slot, offset))` only when the address lands in that map's
-/// window, so a label mismatch routes to the interpreter path instead.
+/// window, so a label mismatch routes to the generic path instead.
 #[inline]
 fn map_slot_of(addr: u64, map: u32, stride: u32) -> Option<(usize, usize)> {
     if !(MAP_VALUE_BASE..MAP_HANDLE_BASE).contains(&addr) {
@@ -57,7 +59,7 @@ fn map_slot_of(addr: u64, map: u32, stride: u32) -> Option<(usize, usize)> {
 }
 
 /// The helper-call epilogue: `r0` takes the result, `r1`–`r5` are
-/// clobbered (caller-saved), exactly as the interpreter's delta commit.
+/// clobbered (caller-saved), exactly as the generic path's delta commit.
 #[inline]
 fn helper_epilogue(state: &mut PacketState, r0: u64) {
     state.regs[0] = r0;
@@ -69,11 +71,11 @@ fn helper_epilogue(state: &mut PacketState, r0: u64) {
 }
 
 impl PipelineSim {
-    /// Compiled twin of [`PipelineSim::exec_stage`]: same prologue
-    /// (resume fast path, empty-stage forward, predication, implicit
-    /// length guard — all against baked constants), then either the
-    /// in-place direct loop or the shared two-phase body.
-    pub(super) fn exec_stage_compiled(
+    /// Execute stage `s` for one packet: the prologue (resume fast path,
+    /// empty-stage forward, predication, implicit length guard — all
+    /// against baked constants), then either the in-place direct loop or
+    /// the two-phase body.
+    pub(super) fn exec_stage(
         &mut self,
         s: usize,
         pkt: &mut InFlight,
@@ -146,7 +148,7 @@ impl PipelineSim {
     }
 
     /// Execute one fused op in place. `Err` aborts the stage with the
-    /// interpreter's exact semantics: `Fault` keeps earlier writes and
+    /// two-phase semantics: `Fault` keeps earlier writes and
     /// poisons the packet, `FlushSelf` re-executes it from a checkpoint.
     ///
     /// Always inlined into the direct-stage loop: the ALU/memory arms
@@ -337,7 +339,7 @@ impl PipelineSim {
                 }
                 let n = size.bytes();
                 let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
-                // Interpreter read order: bounds fault before stale risk.
+                // Generic-path read order: bounds fault before stale risk.
                 if o + n > value_size as usize {
                     return Err(OpAbort::Fault);
                 }
@@ -401,7 +403,7 @@ impl PipelineSim {
                 let n = size.bytes();
                 {
                     let m = self.maps.get(map).ok_or(OpAbort::Fault)?;
-                    // Interpreter atomic order: stale risk before bounds.
+                    // Generic-path atomic order: stale risk before bounds.
                     if self.stale_risk(map, seq, m.key_of(slot)) {
                         return Err(OpAbort::FlushSelf);
                     }
@@ -497,7 +499,7 @@ impl PipelineSim {
         Ok(())
     }
 
-    /// Per-op interpreter fallback for a direct stage: run the original
+    /// Per-op generic fallback for a direct stage: run the original
     /// [`ehdl_core::StageOp`] at the same index through [`PipelineSim::exec_op`]
     /// with the scratch write set, then commit immediately. Exact because
     /// a direct stage's ops are proven order-independent, so "reads
@@ -536,7 +538,7 @@ impl PipelineSim {
     }
 
     /// [`PipelineSim::lookup_with_key`] with baked geometry and a pooled
-    /// unconfirmed-read record (the interpreter allocates one per lookup;
+    /// unconfirmed-read record (the generic path allocates one per lookup;
     /// this path must not).
     fn compiled_lookup(
         &mut self,

@@ -6,18 +6,18 @@
 #   scripts/check.sh --quick   # build + tests + lints only (edit loop)
 #
 # The speed smoke replays the Figure-9a firewall workload (40k packets at
-# 64 B line rate) under both stage engines (reference interpreter and the
-# compiled backend) and fails if:
+# 64 B line rate) under both plans (unfused, recorded as "interpreter",
+# and fused, recorded as "compiled") and fails if:
 #   - any (app, backend) pair sustains less than half the cycles/sec
 #     recorded in BENCH_sim_speed.json (hot-loop regression);
-#   - the compiled backend's live speedup over the interpreter on the
+#   - the fused plan's live speedup over the unfused plan on the
 #     firewall run drops below the bar in benches/sim_speed.rs
 #     (MIN_FIREWALL_SPEEDUP, interleaved min-of-3 measurement);
-#   - any of the five evaluation apps stops lowering to the compiled
-#     backend — forced Backend::Compiled aborts instead of silently
-#     measuring the interpreter, and a pre-flight try_lower pass names
-#     every offender;
-#   - the two backends diverge on cycles/flushes/replays (they must be
+#   - any of the five evaluation apps grows its fused plan's Interp op
+#     count or delta-stage count past its pin (LOWERING_PINS in
+#     benches/sim_speed.rs) — a pre-flight names every offender, so no
+#     app silently stops being compiled;
+#   - the two plans diverge on cycles/flushes/replays (they must be
 #     bit-identical on the deterministic workload).
 # The scale-out gate sweeps RSS-sharded pipeline replicas {1,2,4,8} over
 # uniform and Zipf workloads (Firewall, DNAT) through the banked

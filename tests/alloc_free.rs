@@ -3,37 +3,46 @@
 //! The zero-allocation claim for the enabled-stage fast path is enforced
 //! directly: a counting global allocator observes every heap call, and a
 //! steady-state `step()` that neither completes a packet nor fires a
-//! hazard must perform exactly zero of them.
+//! hazard must perform exactly zero of them. Every test runs on both the
+//! fused and the unfused plan.
 //!
-//! This test lives in its own binary on purpose — any other test running
-//! concurrently in the same process would perturb the counter.
+//! The counter is per thread, so set-up work on the harness's other test
+//! threads never lands inside a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use ehdl::core::Compiler;
+use ehdl::core::{Compiler, FusedOp, LoweredPlan};
 use ehdl::ebpf::asm::Asm;
 use ehdl::ebpf::helpers::{BPF_MAP_LOOKUP_ELEM, BPF_MAP_UPDATE_ELEM};
 use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
-use ehdl::hwsim::{Backend, PipelineSim, SimOptions};
+use ehdl::hwsim::{PipelineSim, SimOptions};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap calls made by this thread. `const`-initialised and free of
+    /// `Drop`, so the allocator can touch it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -44,12 +53,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The harness runs tests on parallel threads; the counter is
-/// process-global, so measuring tests must not overlap.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A branchy, map-free packet transform: reads two bytes, takes one of
@@ -103,7 +108,6 @@ fn map_write_program() -> Program {
 /// (Retiring cycles legitimately hand the packet buffer to the outcome
 /// queue, whose growth is not steady-state.)
 fn assert_steady_state_alloc_free(sim: &mut PipelineSim, packets: &[Vec<u8>]) {
-    let _exclusive = MEASURE.lock().unwrap();
     // Two warm-up batches: the first grows the long-lived buffers, the
     // second lets pooled snapshot boxes and recycled frames reach their
     // high-water capacities (a box recycled early in batch one can carry
@@ -153,10 +157,8 @@ fn enabled_stage_fast_path_is_allocation_free() {
             p
         })
         .collect();
-    for backend in [Backend::Interpreter, Backend::Compiled] {
-        let mut sim =
-            PipelineSim::with_options(&design, SimOptions { backend, ..SimOptions::default() });
-        assert_eq!(sim.active_backend(), backend);
+    for fuse in [false, true] {
+        let mut sim = PipelineSim::with_options(&design, SimOptions { fuse, ..Default::default() });
         assert_steady_state_alloc_free(&mut sim, &packets);
     }
 }
@@ -176,10 +178,8 @@ fn map_write_steps_are_allocation_free() {
             p
         })
         .collect();
-    for backend in [Backend::Interpreter, Backend::Compiled] {
-        let mut sim =
-            PipelineSim::with_options(&design, SimOptions { backend, ..SimOptions::default() });
-        assert_eq!(sim.active_backend(), backend);
+    for fuse in [false, true] {
+        let mut sim = PipelineSim::with_options(&design, SimOptions { fuse, ..Default::default() });
         assert_steady_state_alloc_free(&mut sim, &packets);
         assert_eq!(sim.counters().flushes, 0, "write-only program never flushes");
     }
@@ -187,8 +187,8 @@ fn map_write_steps_are_allocation_free() {
 
 /// A session-tracking shape: look the key up, then update it. The lookup
 /// leaves an unconfirmed-read record (pooled key + read-filter bit) and
-/// the RAW window forces FEB checkpoints, so this covers the compiled
-/// backend's full hot loop: fused lookup, snapshot pooling, WAR-delayed
+/// the RAW window forces FEB checkpoints, so this covers the fused
+/// plan's full hot loop: fused lookup, snapshot pooling, WAR-delayed
 /// writes and whole-frame recycling through `complete()`.
 fn lookup_update_program() -> Program {
     let mut a = Asm::new();
@@ -228,11 +228,13 @@ fn compiled_lookup_hot_loop_is_allocation_free() {
             p
         })
         .collect();
-    let mut sim = PipelineSim::with_options(
-        &design,
-        SimOptions { backend: Backend::Compiled, ..SimOptions::default() },
+    let Ok(lowered) = LoweredPlan::try_lower(&design);
+    assert!(
+        (0..lowered.stage_count()).any(|s| !lowered.stage(s).delta
+            && lowered.stage_fused(s).iter().any(|f| matches!(f, FusedOp::Lookup { .. }))),
+        "the lookup must lower into a direct stage"
     );
-    assert_eq!(sim.active_backend(), Backend::Compiled, "lookup program must lower");
+    let mut sim = PipelineSim::new(&design);
     assert_steady_state_alloc_free(&mut sim, &packets);
     assert_eq!(sim.counters().flushes, 0, "distinct in-flight keys never collide");
 }

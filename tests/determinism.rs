@@ -8,11 +8,12 @@
 //! paths must match their sequential lockstep reference exactly.
 
 use ehdl::core::Compiler;
+use ehdl::ebpf::maps::MapStore;
 use ehdl::ebpf::vm::XdpAction;
 use ehdl::hwsim::diff::compare_with;
 use ehdl::hwsim::{
-    rss_flow_hash, Backend, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters,
-    SimOptions, Steering,
+    rss_flow_hash, MultiNic, PipelineSim, ShardedNic, SharedMapOptions, SimCounters, SimOptions,
+    Steering,
 };
 use ehdl::net::{IPPROTO_TCP, IPPROTO_UDP};
 use ehdl::programs::App;
@@ -39,16 +40,13 @@ struct RunRecord {
 }
 
 fn run_once(app: App, packets: &[Vec<u8>]) -> RunRecord {
-    run_once_on(app, packets, Backend::Auto)
+    run_once_on(app, packets, true)
 }
 
-fn run_once_on(app: App, packets: &[Vec<u8>], backend: Backend) -> RunRecord {
-    let program = app.program();
-    let design = Compiler::new().compile(&program).expect("app compiles");
-    let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
-    if backend != Backend::Auto {
-        assert_eq!(sim.active_backend(), backend, "{} must honor the request", app.name());
-    }
+/// One run of `app` on the fused (`fuse`) or unfused plan.
+fn run_once_on(app: App, packets: &[Vec<u8>], fuse: bool) -> RunRecord {
+    let design = Compiler::new().compile(&app.program()).expect("app compiles");
+    let mut sim = PipelineSim::with_options(&design, SimOptions { fuse, ..opts() });
     setup_app(app, sim.maps_mut());
     for p in packets {
         sim.enqueue(p.clone());
@@ -59,17 +57,25 @@ fn run_once_on(app: App, packets: &[Vec<u8>], backend: Backend) -> RunRecord {
         .into_iter()
         .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
         .collect();
-    let maps = program
-        .maps
+    RunRecord {
+        outcomes,
+        counters: *sim.counters(),
+        cycles: sim.cycle(),
+        maps: sorted_maps(sim.maps()),
+    }
+}
+
+/// Every map of `store` with its entries in sorted key order, so the
+/// record (and its digest) does not depend on hash-table layout.
+fn sorted_maps(store: &MapStore) -> Vec<(u32, MapEntries)> {
+    store
         .iter()
-        .map(|def| {
-            let m = sim.maps().get(def.id).expect("map exists");
+        .map(|m| {
             let mut entries: Vec<_> = m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
             entries.sort();
-            (def.id, entries)
+            (m.def().id, entries)
         })
-        .collect();
-    RunRecord { outcomes, counters: *sim.counters(), cycles: sim.cycle(), maps }
+        .collect()
 }
 
 /// Two runs of the same app over the same 1k-packet trace — including the
@@ -307,9 +313,9 @@ fn sharded_runs_replay_bit_identically() {
 }
 
 /// One seeded host-op/packet interleaving through the runtime, on the
-/// requested stage engine, in comparable form.
+/// fused or unfused plan, in comparable form.
 fn host_ops_run(
-    backend: Backend,
+    fuse: bool,
 ) -> (Vec<OutcomeRow>, Vec<ehdl::hwsim::HostCompletion>, SimCounters, u64, MapEntries) {
     use ehdl::hwsim::CtrlOptions;
     use ehdl::programs::simple_firewall;
@@ -334,14 +340,11 @@ fn host_ops_run(
     let mut rt = Runtime::new(
         &design,
         RuntimeOptions {
-            sim: SimOptions { backend, ..opts() },
+            sim: SimOptions { fuse, ..opts() },
             ctrl: CtrlOptions { latency_cycles: 2, queue_depth: 1024 },
             ..Default::default()
         },
     );
-    if backend != Backend::Auto {
-        assert_eq!(rt.sim_mut().active_backend(), backend, "runtime must honor the request");
-    }
     let report = rt.run_schedule(&schedule);
     let outcomes: Vec<OutcomeRow> = report
         .outcomes
@@ -365,8 +368,8 @@ fn host_ops_run(
 /// apply cycles), same counters, same final map state.
 #[test]
 fn interleaved_host_ops_are_bit_identical() {
-    let first = host_ops_run(Backend::Auto);
-    let second = host_ops_run(Backend::Auto);
+    let first = host_ops_run(true);
+    let second = host_ops_run(true);
     assert!(
         first.1.iter().any(|c| c.flushed_readers > 0) || first.2.host_op_flushes > 0,
         "trace should exercise host-write flushes to make the check meaningful"
@@ -374,90 +377,154 @@ fn interleaved_host_ops_are_bit_identical() {
     assert_eq!(first, second, "host-op interleaving must replay bit-identically");
 }
 
-/// The compiled backend locksteps with the interpreter on every
-/// evaluation app: same outcome bytes, same counters, same final map
-/// state, same cycle count, over the full 1k-packet traces with their
-/// flush/replay traffic.
+/// The fused plan locksteps with the unfused one on every evaluation
+/// app: same outcome bytes, same counters, same final map state, same
+/// cycle count, over the full 1k-packet traces with their flush/replay
+/// traffic.
 #[test]
 fn compiled_backend_locksteps_with_interpreter_on_all_apps() {
     for app in App::ALL {
         let packets = eval_packets(app, TRACE_PACKETS);
-        let interp = run_once_on(app, &packets, Backend::Interpreter);
-        let compiled = run_once_on(app, &packets, Backend::Compiled);
-        assert_eq!(interp, compiled, "{}: backends must be bit-identical", app.name());
+        let unfused = run_once_on(app, &packets, false);
+        let fused = run_once_on(app, &packets, true);
+        assert_eq!(unfused, fused, "{}: plans must be bit-identical", app.name());
     }
 }
 
 /// The same seeded host-op interleaving — control-channel fences, forced
-/// checkpoints, host-write flushes — is bit-identical across the two
-/// stage engines, completions and apply cycles included.
+/// checkpoints, host-write flushes — is bit-identical across the fused
+/// and unfused plans, completions and apply cycles included.
 #[test]
 fn host_op_interleaving_locksteps_across_backends() {
-    let interp = host_ops_run(Backend::Interpreter);
-    let compiled = host_ops_run(Backend::Compiled);
-    assert_eq!(interp, compiled, "host-op schedule must be backend-independent");
+    let unfused = host_ops_run(false);
+    let fused = host_ops_run(true);
+    assert_eq!(unfused, fused, "host-op schedule must be plan-independent");
 }
 
-/// A seeded fault campaign (transients, stuck-ats, hangs, watchdog
-/// recoveries) resolves identically under both stage engines: same
-/// packet outcomes, same counters and map state, same fault statistics.
-#[test]
-fn fault_campaign_locksteps_across_backends() {
+/// One seeded fault campaign (transients, stuck-ats, hangs, watchdog
+/// recoveries) over the firewall trace, on the fused or unfused plan.
+fn fault_run(
+    fuse: bool,
+) -> (Vec<OutcomeRow>, SimCounters, u64, ehdl::hwsim::FaultStats, Vec<(u32, MapEntries)>) {
     use ehdl::hwsim::FaultConfig;
 
-    let run = |backend: Backend| {
-        let app = App::Firewall;
-        let program = app.program();
-        let design = Compiler::new().compile(&program).expect("app compiles");
-        let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
-        assert_eq!(sim.active_backend(), backend, "campaign must run on the requested engine");
-        setup_app(app, sim.maps_mut());
-        sim.attach_faults(FaultConfig {
-            seed: 7,
-            rate: 0.01,
-            stuck_fraction: 0.2,
-            hang_fraction: 0.1,
-            watchdog_timeout: 256,
-            ..Default::default()
-        });
-        for p in eval_packets(app, TRACE_PACKETS) {
-            sim.enqueue(p);
-        }
-        sim.settle(50_000_000);
-        let outcomes: Vec<OutcomeRow> = sim
-            .drain()
-            .into_iter()
-            .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
-            .collect();
-        let stats = *sim.fault_engine().expect("engine attached").stats();
-        (outcomes, *sim.counters(), sim.cycle(), stats)
-    };
-
-    let interp = run(Backend::Interpreter);
-    let compiled = run(Backend::Compiled);
-    assert!(interp.3.injected > 0, "campaign must actually inject faults");
-    assert_eq!(interp, compiled, "fault campaign must be backend-independent");
+    let app = App::Firewall;
+    let design = Compiler::new().compile(&app.program()).expect("app compiles");
+    let mut sim = PipelineSim::with_options(&design, SimOptions { fuse, ..opts() });
+    setup_app(app, sim.maps_mut());
+    sim.attach_faults(FaultConfig {
+        seed: 7,
+        rate: 0.01,
+        stuck_fraction: 0.2,
+        hang_fraction: 0.1,
+        watchdog_timeout: 256,
+        ..Default::default()
+    });
+    for p in eval_packets(app, TRACE_PACKETS) {
+        sim.enqueue(p);
+    }
+    sim.settle(50_000_000);
+    let outcomes: Vec<OutcomeRow> = sim
+        .drain()
+        .into_iter()
+        .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
+        .collect();
+    let stats = *sim.fault_engine().expect("engine attached").stats();
+    (outcomes, *sim.counters(), sim.cycle(), stats, sorted_maps(sim.maps()))
 }
 
-/// An unlowerable plan feature under [`Backend::Auto`] falls back to the
-/// interpreter *loudly* — typed error recorded, active backend reported —
-/// and the fallback run matches a forced interpreter run bit-for-bit.
+/// A seeded fault campaign resolves identically under the fused and
+/// unfused plans: same packet outcomes, same counters and map state,
+/// same fault statistics.
 #[test]
-fn unlowerable_plan_falls_back_cleanly_under_auto() {
+fn fault_campaign_locksteps_across_backends() {
+    let unfused = fault_run(false);
+    let fused = fault_run(true);
+    assert!(unfused.3.injected > 0, "campaign must actually inject faults");
+    assert_eq!(unfused, fused, "fault campaign must be plan-independent");
+}
+
+/// One RSS-sharded run of `app` on two replicas, with the shared-map set,
+/// banks and merges taken from the design's verified shard plan: the
+/// full report plus every replica's counters, cycle and private maps, and
+/// the canonical shared store.
+fn sharded_run(app: App) -> String {
+    let design = Compiler::new().compile(&app.program()).expect("app compiles");
+    let mut nic = ShardedNic::from_shard_plan(&design, 2, 7, opts()).expect("shard plan is sound");
+    nic.setup_maps(|m| setup_app(app, m));
+    let report = nic.run(eval_packets(app, TRACE_PACKETS));
+    let replicas: Vec<_> = (0..nic.replicas())
+        .map(|r| {
+            let sim = nic.sim(r);
+            (*sim.counters(), sim.cycle(), sorted_maps(sim.maps()))
+        })
+        .collect();
+    format!("{report:?} {replicas:?} {:?}", sorted_maps(nic.shared_store()))
+}
+
+/// 64-bit FNV-1a over the `Debug` rendering of a run record. Every
+/// record sorts its map entries by key, so the digest is a pure function
+/// of the simulated behavior.
+fn digest(record: &impl std::fmt::Debug) -> u64 {
+    format!("{record:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Golden corpus: the default (fused) plan reproduces, bit for bit, the
+/// outcomes, counters, final cycle and final maps recorded for the five
+/// evaluation apps, the host-op interleaving, the fault campaign and the
+/// sharded Firewall/DNAT runs. A change that is meant to preserve
+/// simulated behavior must leave every digest untouched.
+#[test]
+fn golden_digests_reproduce() {
+    const APPS: [u64; 5] = [
+        0x2163_a110_5c5a_aa69, // Firewall
+        0xceaa_2bf3_62a9_91e2, // Router
+        0x2072_c138_fc4d_ec4c, // Tunnel
+        0x6dfa_748b_ba5f_5854, // DNAT
+        0x5064_654c_a6e6_1089, // Suricata
+    ];
+    const HOST_OPS: u64 = 0xc61d_ff31_2165_6a01;
+    const FAULTS: u64 = 0xd40b_f0d6_8e8e_bd30;
+    const SHARDED: [u64; 2] = [
+        0x6ff1_b750_1e17_fa7a, // Firewall
+        0x1df4_3e46_f228_401b, // DNAT
+    ];
+    let mut got = Vec::new();
+    for (app, want) in App::ALL.into_iter().zip(APPS) {
+        let run = run_once(app, &eval_packets(app, TRACE_PACKETS));
+        got.push((app.name(), digest(&run), want));
+    }
+    got.push(("host ops", digest(&host_ops_run(true)), HOST_OPS));
+    got.push(("fault campaign", digest(&fault_run(true)), FAULTS));
+    for (app, want) in [App::Firewall, App::Dnat].into_iter().zip(SHARDED) {
+        got.push((app.name(), digest(&sharded_run(app)), want));
+    }
+    let diverged: Vec<_> = got.iter().filter(|(_, have, want)| have != want).collect();
+    assert!(diverged.is_empty(), "golden digests diverged (name, got, want): {diverged:#x?}");
+}
+
+/// Lowering is total: a helper with no specialization, spliced into a
+/// compiled firewall (the verifier rejects unknown helpers at load time,
+/// so this models a future compiler feature), lowers to
+/// [`FusedOp::Interp`] in a delta stage, and the fused run matches the
+/// unfused one bit for bit.
+#[test]
+fn unspecialized_helper_runs_through_the_generic_path() {
     use ehdl::core::ir::HwInsn;
-    use ehdl::core::LowerError;
+    use ehdl::core::{FusedOp, LoweredPlan};
     use ehdl::ebpf::helpers::BPF_FIB_LOOKUP;
     use ehdl::ebpf::insn::Instruction;
 
-    // The verifier rejects unknown helpers at load time, so splice one
-    // into an already-compiled design to model a future compiler feature
-    // the executor has no specialization for.
     let mut design = Compiler::new().compile(&App::Firewall.program()).expect("compiles");
-    let op = &mut design.stages[0].ops[0];
-    op.insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
+    design.stages[0].ops[0].insn = HwInsn::Simple(Instruction::Call { helper: BPF_FIB_LOOKUP });
+    let Ok(lowered) = LoweredPlan::try_lower(&design);
+    assert_eq!(lowered.stage_fused(0)[0], FusedOp::Interp);
+    assert!(lowered.stage(0).delta, "an Interp op demotes its stage to delta");
 
-    let run = |backend: Backend| {
-        let mut sim = PipelineSim::with_options(&design, SimOptions { backend, ..opts() });
+    let run = |fuse: bool| {
+        let mut sim = PipelineSim::with_options(&design, SimOptions { fuse, ..opts() });
         setup_app(App::Firewall, sim.maps_mut());
         for p in eval_packets(App::Firewall, 200) {
             sim.enqueue(p);
@@ -468,22 +535,9 @@ fn unlowerable_plan_falls_back_cleanly_under_auto() {
             .into_iter()
             .map(|o| (o.seq, o.action, o.redirect_ifindex, o.packet, o.latency_cycles))
             .collect();
-        let fell_back = sim.lower_error().cloned();
-        (outcomes, *sim.counters(), sim.cycle(), sim.active_backend(), fell_back)
+        (outcomes, *sim.counters(), sim.cycle())
     };
-
-    let auto = run(Backend::Auto);
-    assert_eq!(auto.3, Backend::Interpreter, "auto must fall back");
-    match auto.4 {
-        Some(LowerError::UnsupportedHelper { helper, .. }) => {
-            assert_eq!(helper, BPF_FIB_LOOKUP);
-        }
-        other => panic!("expected a typed UnsupportedHelper fallback, got {other:?}"),
-    }
-    let forced = run(Backend::Interpreter);
-    assert_eq!(
-        (&auto.0, &auto.1, auto.2),
-        (&forced.0, &forced.1, forced.2),
-        "fallback run must match the forced interpreter bit-for-bit"
-    );
+    let fused = run(true);
+    assert_eq!(fused.0.len(), 200, "every packet retires");
+    assert_eq!(fused, run(false), "fused run must match the unfused plan bit for bit");
 }
