@@ -8,6 +8,7 @@
 //! ```sh
 //! cargo bench --bench fault_campaign            # measure, print, self-check
 //! EHDL_WRITE_BENCH=1 cargo bench --bench fault_campaign   # also record JSON
+//! EHDL_CHECK_BENCH=1 cargo bench --bench fault_campaign   # fail unless the JSON matches exactly
 //! ```
 //!
 //! The run always asserts the PR's acceptance criteria: protected
@@ -17,7 +18,9 @@
 //! hang destroys, and the whole campaign replays bit-identically from
 //! its seed.
 
-use ehdl_bench::fault_campaign::{reproducible, run, write_report, REPORT_PATH};
+use ehdl_bench::fault_campaign::{
+    render_report, report_path, reproducible, run, write_report, REPORT_PATH,
+};
 
 fn main() {
     let rows = run();
@@ -120,5 +123,20 @@ fn main() {
     if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
         write_report(&rows).expect("write BENCH_fault_campaign.json");
         println!("recorded {REPORT_PATH}");
+    }
+
+    // Every recorded field is simulated, so the seeded campaign must
+    // reproduce the recording byte for byte.
+    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
+        let recorded =
+            std::fs::read_to_string(report_path()).expect("read BENCH_fault_campaign.json");
+        if recorded != render_report(&rows) {
+            eprintln!(
+                "fault_campaign REGRESSION: campaign differs from {REPORT_PATH}\n\
+                 re-record with EHDL_WRITE_BENCH=1 and `git diff` it to see where"
+            );
+            std::process::exit(1);
+        }
+        println!("fault_campaign matches {REPORT_PATH} exactly");
     }
 }

@@ -8,13 +8,14 @@
 //! ```sh
 //! cargo bench --bench flush_opt            # measure, print, self-check
 //! EHDL_WRITE_BENCH=1 cargo bench --bench flush_opt   # also record JSON
+//! EHDL_CHECK_BENCH=1 cargo bench --bench flush_opt   # fail unless the JSON matches exactly
 //! ```
 //!
 //! The run always asserts the PR's acceptance criteria: every point is
 //! reference-identical and within 10 % of `analytical::throughput`, and
 //! the DNAT Zipf α = 1 / 10 k-flow point gains ≥ 20 %.
 
-use ehdl_bench::flush_opt::{run, write_report, REPORT_PATH};
+use ehdl_bench::flush_opt::{render_report, report_path, run, write_report, REPORT_PATH};
 
 fn main() {
     let rows = run();
@@ -95,5 +96,19 @@ fn main() {
     if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
         write_report(&rows).expect("write BENCH_flush_opt.json");
         println!("recorded {REPORT_PATH}");
+    }
+
+    // Every recorded field is simulated, so the sweep must reproduce the
+    // recording byte for byte.
+    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
+        let recorded = std::fs::read_to_string(report_path()).expect("read BENCH_flush_opt.json");
+        if recorded != render_report(&rows) {
+            eprintln!(
+                "flush_opt REGRESSION: sweep differs from {REPORT_PATH}\n\
+                 re-record with EHDL_WRITE_BENCH=1 and `git diff` it to see where"
+            );
+            std::process::exit(1);
+        }
+        println!("flush_opt matches {REPORT_PATH} exactly");
     }
 }

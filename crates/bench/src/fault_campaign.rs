@@ -11,8 +11,10 @@
 //! replays the same injection schedule, cycle for cycle.
 
 use ehdl_core::{Compiler, CompilerOptions, Protection};
-use ehdl_hwsim::diff::{compare_under_faults, Divergence, FaultCompareReport};
-use ehdl_hwsim::{FaultConfig, PipelineSim, SimOptions};
+use ehdl_hwsim::{
+    check, Divergence, Engine, FaultConfig, FaultEngine, MergeStrategy, PipelineSim, Report,
+    Scenario, SimOptions,
+};
 use ehdl_programs::{dnat, App};
 
 use crate::{eval_packets, setup_app};
@@ -100,26 +102,50 @@ fn design_for(app: App, protect: Protection) -> ehdl_core::PipelineDesign {
 /// Maps whose final contents legitimately drift from the sequential
 /// reference even fault-free (DNAT's port allocator runs ahead on
 /// discarded replays, and the connection table stores those ports).
-fn ignored_maps(app: App) -> Vec<u32> {
+fn ignored_maps(app: App) -> Vec<(u32, MergeStrategy)> {
     match app {
-        App::Dnat => vec![dnat::CONN_MAP, dnat::PORT_ALLOC_MAP],
+        App::Dnat => vec![
+            (dnat::CONN_MAP, MergeStrategy::Ignore),
+            (dnat::PORT_ALLOC_MAP, MergeStrategy::Ignore),
+        ],
         _ => Vec::new(),
     }
 }
 
-/// Drop the divergences an app is allowed even without faults: DNAT's
-/// translated source port (bytes 34–35) may differ from the sequential
-/// reference when a flush discards an allocation attempt.
-fn tolerated(app: App, divs: Vec<Divergence>) -> Vec<Divergence> {
-    if app != App::Dnat {
-        return divs;
-    }
-    divs.into_iter().filter(|d| !matches!(d, Divergence::Packet { at: 34 | 35, .. })).collect()
+/// Whether every packet no fault touched matched the reference. Map
+/// contents and missing packets are tallied separately; DNAT may also
+/// differ in its translated source port (bytes 34–35) when a flush
+/// discards an allocation attempt, even without faults.
+fn packets_clean(app: App, divs: &[Divergence]) -> bool {
+    divs.iter().all(|d| match d {
+        Divergence::Map { .. } | Divergence::Count { .. } => true,
+        Divergence::Packet { at: 34 | 35, .. } => app == App::Dnat,
+        _ => false,
+    })
+}
+
+/// Non-affected packets that never completed (pipeline wedged without a
+/// watchdog).
+fn missing(r: &Report) -> u64 {
+    r.divergences
+        .iter()
+        .map(|d| match d {
+            Divergence::Count { vm, hw } => vm.saturating_sub(*hw) as u64,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// The pipeline and its fault engine after a [`run_point`].
+fn fault_run(r: &Report) -> (&PipelineSim, &FaultEngine) {
+    let sim = r.pipeline.as_ref().expect("campaign points run one pipeline");
+    (sim, sim.fault_engine().expect("campaign points attach a fault engine"))
 }
 
 /// Run one transient/stuck-at campaign point through the differential
 /// harness.
-pub fn run_point(app: App, protect: Protection, rate: f64) -> FaultCompareReport {
+pub fn run_point(app: App, protect: Protection, rate: f64) -> Report {
+    let program = app.program();
     let design = design_for(app, protect);
     let packets = eval_packets(app, POINT_PACKETS);
     let cfg = FaultConfig {
@@ -131,14 +157,13 @@ pub fn run_point(app: App, protect: Protection, rate: f64) -> FaultCompareReport
         hang_fraction: 0.0,
         ..Default::default()
     };
-    compare_under_faults(
-        &app.program(),
-        &design,
-        &packets,
-        |m| setup_app(app, m),
-        &ignored_maps(app),
-        cfg,
-    )
+    let setup = |m: &mut ehdl_ebpf::maps::MapStore| setup_app(app, m);
+    check(&Scenario {
+        setup: &setup,
+        merges: &ignored_maps(app),
+        engine: Engine::Pipeline { ctrl: None, faults: Some(cfg) },
+        ..Scenario::new(&program, &design, &packets)
+    })
 }
 
 fn row_from_report(
@@ -146,27 +171,29 @@ fn row_from_report(
     protect: Protection,
     rate: f64,
     hang: bool,
-    r: &FaultCompareReport,
+    r: &Report,
 ) -> FaultCampaignRow {
+    let (sim, engine) = fault_run(r);
+    let (stats, c) = (engine.stats(), sim.counters());
     FaultCampaignRow {
         app: app.name().to_string(),
         protect: protect_name(protect).to_string(),
         rate,
         hang,
-        injected: r.stats.injected,
-        effective: r.stats.effective(),
-        silent: r.stats.silent,
-        uncorrectable: r.stats.uncorrectable,
-        coverage: r.stats.coverage(),
-        fault_replays: r.counters.fault_replays,
-        watchdog_resets: r.counters.watchdog_resets,
-        pkts_lost: r.counters.pkts_lost_to_faults,
-        missing: r.missing,
-        completed: r.counters.completed,
-        availability: r.availability,
-        clean: tolerated(app, r.divergences.clone()).is_empty(),
-        map_clean: r.map_divergences.is_empty(),
-        map_corrupted: r.map_storage_corrupted,
+        injected: stats.injected,
+        effective: stats.effective(),
+        silent: stats.silent,
+        uncorrectable: stats.uncorrectable,
+        coverage: stats.coverage(),
+        fault_replays: c.fault_replays,
+        watchdog_resets: c.watchdog_resets,
+        pkts_lost: c.pkts_lost_to_faults,
+        missing: missing(r),
+        completed: c.completed,
+        availability: sim.availability(),
+        clean: packets_clean(app, &r.divergences),
+        map_clean: !r.divergences.iter().any(|d| matches!(d, Divergence::Map { .. })),
+        map_corrupted: engine.map_storage_corrupted(),
     }
 }
 
@@ -254,11 +281,12 @@ pub fn run() -> Vec<FaultCampaignRow> {
 pub fn reproducible() -> bool {
     let a = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
     let b = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
-    a.log == b.log
-        && a.stats == b.stats
-        && a.counters == b.counters
+    let ((sa, ea), (sb, eb)) = (fault_run(&a), fault_run(&b));
+    ea.log() == eb.log()
+        && ea.stats() == eb.stats()
+        && sa.counters() == sb.counters()
         && a.affected == b.affected
-        && a.availability == b.availability
+        && sa.availability() == sb.availability()
 }
 
 /// The workspace-root path of the recorded campaign.
@@ -266,9 +294,15 @@ pub fn report_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
 }
 
-/// Serialize the campaign to the tracked JSON file (no serde in the
-/// tree, so the format is written by hand).
+/// Serialize the campaign to the tracked JSON file.
 pub fn write_report(rows: &[FaultCampaignRow]) -> std::io::Result<()> {
+    std::fs::write(report_path(), render_report(rows))
+}
+
+/// The campaign as the tracked JSON text (no serde in the tree, so the
+/// format is written by hand). Every field is simulated, so a re-run
+/// renders byte-identical text.
+pub fn render_report(rows: &[FaultCampaignRow]) -> String {
     let mut json = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -295,7 +329,7 @@ pub fn write_report(rows: &[FaultCampaignRow]) -> std::io::Result<()> {
         ));
     }
     json.push_str("]\n");
-    std::fs::write(report_path(), json)
+    json
 }
 
 #[cfg(test)]
@@ -308,9 +342,11 @@ mod tests {
         // same injections that the hardened designs absorb corrupt the
         // final map state.
         let r = run_point(App::Firewall, Protection::None, 5e-3);
-        assert!(r.stats.silent > 0, "unprotected faults corrupt silently");
+        let (_, engine) = fault_run(&r);
+        assert!(engine.stats().silent > 0, "unprotected faults corrupt silently");
+        let map_divergences = r.divergences.iter().any(|d| matches!(d, Divergence::Map { .. }));
         assert!(
-            r.map_storage_corrupted || !r.map_divergences.is_empty() || !r.affected.is_empty(),
+            engine.map_storage_corrupted() || map_divergences || !r.affected.is_empty(),
             "corruption must be observable"
         );
     }
@@ -318,10 +354,11 @@ mod tests {
     #[test]
     fn protected_point_is_clean_and_covered() {
         let r = run_point(App::Firewall, Protection::EccWatchdog, 5e-3);
-        assert!(tolerated(App::Firewall, r.divergences.clone()).is_empty(), "{:?}", r.divergences);
-        assert!(r.stats.silent == 0, "nothing slips past parity+ECC");
-        assert!(r.stats.coverage() >= 0.99, "coverage {}", r.stats.coverage());
-        assert_eq!(r.missing, 0);
+        assert!(packets_clean(App::Firewall, &r.divergences), "{:?}", r.divergences);
+        let stats = fault_run(&r).1.stats();
+        assert!(stats.silent == 0, "nothing slips past parity+ECC");
+        assert!(stats.coverage() >= 0.99, "coverage {}", stats.coverage());
+        assert_eq!(missing(&r), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::setup_app;
 use ehdl_core::{analytical, Compiler, CompilerOptions, PipelineDesign};
-use ehdl_hwsim::{diff, PipelineSim, SimOptions};
+use ehdl_hwsim::{check, PipelineSim, Scenario, SimOptions};
 use ehdl_net::FiveTuple;
 use ehdl_programs::{dnat, App};
 use ehdl_traffic::{FlowSet, Popularity, Workload};
@@ -138,14 +138,13 @@ pub fn outcomes_identical(
     partial: bool,
 ) -> bool {
     if app != App::Dnat {
-        return diff::compare_full(
-            program,
-            design,
-            packets,
-            |m| setup_app(app, m),
-            &[],
-            sim_options(packets.len(), partial),
-        )
+        let setup = |m: &mut ehdl_ebpf::maps::MapStore| setup_app(app, m);
+        return check(&Scenario {
+            setup: &setup,
+            options: sim_options(packets.len(), partial),
+            ..Scenario::new(program, design, packets)
+        })
+        .divergences
         .is_empty();
     }
 
@@ -260,9 +259,15 @@ pub fn report_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
 }
 
-/// Serialize the sweep to the tracked JSON file (no serde in the tree,
-/// so the format is written by hand).
+/// Serialize the sweep to the tracked JSON file.
 pub fn write_report(rows: &[FlushOptRow]) -> std::io::Result<()> {
+    std::fs::write(report_path(), render_report(rows))
+}
+
+/// The sweep as the tracked JSON text (no serde in the tree, so the
+/// format is written by hand). Every field is simulated, so a re-run
+/// renders byte-identical text.
+pub fn render_report(rows: &[FlushOptRow]) -> String {
     let mut json = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
@@ -288,7 +293,7 @@ pub fn write_report(rows: &[FlushOptRow]) -> std::io::Result<()> {
         ));
     }
     json.push_str("]\n");
-    std::fs::write(report_path(), json)
+    json
 }
 
 #[cfg(test)]

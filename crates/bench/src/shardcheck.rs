@@ -9,7 +9,7 @@
 
 use ehdl_core::shardcheck::{MergePolicy, ShardError};
 use ehdl_core::{Compiler, CompilerOptions};
-use ehdl_hwsim::{compare_sharded, fabric_from_plan, merges_from_plan, Divergence, SimOptions};
+use ehdl_hwsim::{check, fabric_from_plan, merges_from_plan, Divergence, Engine, Scenario};
 use ehdl_programs::App;
 
 /// Where the recorded baseline lives, relative to the workspace root.
@@ -83,18 +83,14 @@ fn row_for(app: App) -> ShardRow {
     for replicas in [2usize, 4] {
         plan.require_sound(replicas)
             .unwrap_or_else(|e| panic!("{} must shard zero-hint: {e:?}", app.name()));
-        let div = compare_sharded(
-            &program,
-            &design,
-            replicas,
-            7,
-            &packets,
-            &[],
-            |maps| crate::setup_app(app, maps),
-            &merges,
-            fabric.clone(),
-            SimOptions::default(),
-        );
+        let setup = |maps: &mut ehdl_ebpf::maps::MapStore| crate::setup_app(app, maps);
+        let div = check(&Scenario {
+            setup: &setup,
+            merges: &merges,
+            engine: Engine::Sharded { replicas, seed: 7, fabric: fabric.clone(), ops: &[] },
+            ..Scenario::new(&program, &design, &packets)
+        })
+        .divergences;
         agreement_checks += plan.maps.len();
         for d in &div {
             let contradicted = match d {

@@ -41,8 +41,8 @@
 //! Soundness contract: like the abstract interpreter it builds on, the
 //! pass only ever *downgrades* — an unprovable property degrades the map
 //! toward [`MapClass::OpaqueRmw`], never the other way — and every
-//! verdict is re-checked dynamically by `diff::compare_sharded` +
-//! `check_linearizable` in the hwsim cross-validation suite.
+//! verdict is re-checked dynamically by the sharded `diff::check` (which
+//! includes `check_linearizable`) in the hwsim cross-validation suite.
 
 use ehdl_ebpf::absint::{Analysis, ByteSrc, MapKeyFact, MapValAccessKind};
 use ehdl_ebpf::helpers::{BPF_MAP_DELETE_ELEM, BPF_MAP_UPDATE_ELEM};

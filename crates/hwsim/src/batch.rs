@@ -24,8 +24,9 @@
 //! on its map. Ops on *different* maps never interact, so the rewrites
 //! only ever reorder ops across maps, which commutes.
 //!
-//! Soundness is not argued only here: [`crate::diff::compare_with_ops_coalesced`]
-//! replays coalesced schedules against the sequential VM oracle and the
+//! Soundness is not argued only here: [`crate::diff::check`] with
+//! [`crate::diff::CtrlOps::coalesce`] set replays coalesced schedules
+//! against the sequential VM oracle, and the
 //! check.sh SLO gate pins bit-equivalence on every campaign.
 
 use crate::ctrl::{HostOp, HostOpResult};

@@ -1,5 +1,5 @@
-//! Differential testing harness: the generated hardware must behave
-//! exactly like the reference interpreter.
+//! Differential oracle: the generated hardware must behave exactly like
+//! the reference interpreter.
 //!
 //! For a packet sequence, the pipeline (with all its parallelism, flushes
 //! and buffered writes) must produce, per packet, the same XDP action and
@@ -7,16 +7,25 @@
 //! and the final map contents must agree. This is the central correctness
 //! property of eHDL's consistency machinery (§4.1): hazards may cost
 //! cycles, never correctness.
+//!
+//! One entry point states that property for every engine: a [`Scenario`]
+//! names the program, its compiled design, the trace and the [`Engine`]
+//! that runs it, and [`check`] returns a [`Report`] with every
+//! [`Divergence`] it found. The VM reference runs once per check, on the
+//! calling thread, while each engine run replays the same trace on a
+//! thread of its own.
 
 use crate::batch::{coalesce_ops, expand_results, CoalescedOp, MapShape};
 use crate::ctrl::{CtrlOptions, HostOp, HostOpResult};
-use crate::fault::{FaultConfig, FaultEvent, FaultStats, ReplicaFaultConfig};
-use crate::shared::{check_linearizable, ShardedNic, SharedMapOptions};
-use crate::sim::{PipelineSim, SimCounters, SimOptions};
-use ehdl_core::{Compiler, CompilerOptions, PipelineDesign};
-use ehdl_ebpf::maps::{MapError, MapKind, MapStore};
+use crate::fault::{FaultConfig, ReplicaFaultConfig};
+use crate::shared::{check_linearizable, ShardReport, ShardedNic, SharedMapOptions};
+use crate::sim::{PipelineSim, SimError, SimOptions, SimOutcome};
+use ehdl_core::PipelineDesign;
+use ehdl_ebpf::maps::{Map, MapError, MapKind, MapStore};
 use ehdl_ebpf::vm::{Vm, XdpAction};
 use ehdl_ebpf::Program;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// A per-packet divergence between the VM and the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +51,8 @@ pub enum Divergence {
         /// Map id.
         map: u32,
     },
-    /// The pipeline produced a different number of packets.
+    /// The pipeline completed a different number of packets than the
+    /// reference ran (fault-affected packets excluded on both sides).
     Count {
         /// VM packet count.
         vm: usize,
@@ -59,7 +69,7 @@ pub enum Divergence {
     /// A host control-channel op returned a different result than the
     /// same op applied at the same position of the sequential reference.
     HostOp {
-        /// Submission id (op order in the event schedule).
+        /// Submission id (op order in the schedule).
         id: u64,
         /// Human-readable mismatch description.
         detail: String,
@@ -71,10 +81,10 @@ pub enum Divergence {
         /// Human-readable violation description.
         detail: String,
     },
-    /// A replica-failure invariant broke: a packet was lost without
-    /// being accounted, a failure went undetected or blew its detection
-    /// budget, or a loss hit a flow that never belonged to a failed
-    /// replica.
+    /// A packet went missing without being accounted: the RX queue never
+    /// drained, a completion arrived twice or for no packet, a packet was
+    /// lost outside the affected flows, or a replica failure went
+    /// undetected or blew its detection budget.
     Loss {
         /// Human-readable violation description.
         detail: String,
@@ -98,18 +108,6 @@ impl std::fmt::Display for Divergence {
             Divergence::Loss { detail } => write!(f, "loss: {detail}"),
         }
     }
-}
-
-/// One element of an interleaved packet / host-op schedule
-/// ([`compare_with_ops`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostEvent {
-    /// A packet arriving on the wire.
-    Packet(Vec<u8>),
-    /// A host op submitted at this position in the arrival order: it must
-    /// behave as if it executed after every preceding packet and before
-    /// every following one.
-    Op(HostOp),
 }
 
 /// Apply `op` directly to a map store, returning the result the hardware
@@ -141,157 +139,10 @@ pub fn apply_host_op_to_store(maps: &mut MapStore, op: &HostOp) -> Result<HostOp
     }
 }
 
-/// Compare VM and pipeline over a packet sequence. Returns all
-/// divergences (empty = equivalent).
-///
-/// Packets that the VM *errors* on (e.g. out-of-bounds access guarded only
-/// by an elided check) are expected to be dropped by the hardware.
-pub fn compare(program: &Program, design: &PipelineDesign, packets: &[Vec<u8>]) -> Vec<Divergence> {
-    compare_with(program, design, packets, |_| {})
-}
-
-/// Like [`compare`], applying `setup` (host-side control plane writes,
-/// e.g. installing routes) to both engines' maps first.
-pub fn compare_with(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-) -> Vec<Divergence> {
-    compare_ignoring(program, design, packets, setup, &[])
-}
-
-/// Like [`compare_with`], skipping the final-content comparison for the
-/// listed maps.
-///
-/// Intended for pure *allocator* state (e.g. DNAT's port counter): a
-/// flushed packet's already-committed fetch-and-add is not replayed — the
-/// allocation is simply skipped, exactly as in the real hardware — so the
-/// counter legitimately runs ahead of the sequential reference while every
-/// observable translation stays identical.
-pub fn compare_ignoring(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-) -> Vec<Divergence> {
-    compare_full(
-        program,
-        design,
-        packets,
-        setup,
-        ignore_maps,
-        SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() },
-    )
-}
-
-/// Fully parameterized comparison (explicit simulator options, e.g. the
-/// dead-state poisoning validation mode).
-pub fn compare_full(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-    sim_options: SimOptions,
-) -> Vec<Divergence> {
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(sim_options.freeze_time_ns.unwrap_or(1000));
-    // Soundness gate: every fact the abstract interpreter claims about the
-    // program is rechecked against the reference execution.
-    if let Ok(decoded) = program.decode() {
-        vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
-    }
-    let mut sim = PipelineSim::with_options(design, sim_options);
-    // Both map stores are configured before either engine runs, so the
-    // two executions start from identical state.
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-
-    // The engines never communicate until both are drained: run the
-    // cycle-level simulation on its own thread while the reference
-    // interpreter processes the same trace here.
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    let outs = std::thread::scope(|scope| {
-        let sim = &mut sim;
-        let hw = scope.spawn(move || {
-            for p in packets {
-                sim.enqueue(p.clone());
-            }
-            sim.settle(50_000_000);
-            sim.drain()
-        });
-        for p in packets {
-            let mut bytes = p.clone();
-            match vm.run(&mut bytes, 0) {
-                Ok(out) => {
-                    vm_actions.push(out.action);
-                    vm_packets.push(bytes);
-                }
-                Err(_) => {
-                    // The hardware drops on access faults.
-                    vm_actions.push(XdpAction::Drop);
-                    vm_packets.push(p.clone());
-                }
-            }
-        }
-        hw.join().expect("simulator thread panicked")
-    });
-
-    let mut divs = Vec::new();
-    if outs.len() != packets.len() {
-        divs.push(Divergence::Count { vm: packets.len(), hw: outs.len() });
-        return divs;
-    }
-    for (i, out) in outs.iter().enumerate() {
-        assert_eq!(out.seq as usize, i, "pipeline must preserve packet order");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    // Compare final map contents as sorted key→value sets.
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
-            continue;
-        }
-        let a = vm.maps().get(def.id).expect("vm map");
-        let b = sim.maps().get(def.id).expect("sim map");
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
-            divs.push(Divergence::Map { map: def.id });
-        }
-    }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    let hw_violations = sim.counters().proof_violations;
-    if hw_violations > 0 {
-        divs.push(Divergence::Proof {
-            detail: format!("pipeline: {hw_violations} unguarded accesses left proven bounds"),
-        });
-    }
-    divs
-}
-
-/// How a map's final contents are reconstructed from N replicas for
-/// comparison against the sequential reference ([`compare_sharded`]).
+/// How a map's final contents are reconstructed from the engine's copies
+/// for comparison against the sequential reference ([`check`]). A single
+/// pipeline is one replica whose store is also canonical, so every
+/// strategy but [`MergeStrategy::Ignore`] is an exact comparison there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeStrategy {
     /// Union of all replicas' entries, with exact duplicates collapsed.
@@ -306,9 +157,609 @@ pub enum MergeStrategy {
     /// Compare the canonical shared copy directly (maps listed in
     /// [`SharedMapOptions::shared_maps`] have exactly one storage copy).
     Direct,
-    /// Skip the map (e.g. a per-replica allocator whose assignments are
-    /// order-dependent by design).
+    /// Skip the map: pure allocator state whose assignments are
+    /// order-dependent by design. DNAT's port counter is one: a flushed
+    /// packet's already-committed fetch-and-add is not replayed, so the
+    /// counter legitimately runs ahead of the sequential reference while
+    /// every observable translation stays identical.
     Ignore,
+}
+
+/// What `bpf_ktime_get_ns` returns in both engines during a check. The
+/// harness owns the clock: a live clock follows each engine's own
+/// timing, which legitimately differs, so time-driven programs (the
+/// leaky bucket's refill) would diverge for reasons that are not bugs.
+const FROZEN_NS: u64 = 1000;
+
+/// Per-op results as the host sees them, in submission order.
+type OpResults = Vec<Result<HostOpResult, MapError>>;
+
+/// Host ops submitted live through one pipeline's control channel.
+#[derive(Debug, Clone, Copy)]
+pub struct CtrlOps<'a> {
+    /// `(at, op)`: `op` is submitted once `at` packets have arrived, so it
+    /// must behave as if it executed after every earlier packet and
+    /// before every later one. Ops at one position keep their order.
+    pub ops: &'a [(usize, HostOp)],
+    /// Channel latency and queue depth. The whole schedule is submitted
+    /// while the packets are fed, before the pipeline drains, so the
+    /// depth is raised to hold it.
+    pub options: CtrlOptions,
+    /// Submit the coalesced rewrite of each op train ([`coalesce_ops`])
+    /// while the reference still executes the original ops one by one.
+    /// Carrier results are expanded back per original op, so a clean
+    /// check proves the serving layer's batching is invisible.
+    pub coalesce: bool,
+}
+
+/// What runs the trace against the reference. Each variant carries only
+/// what that engine supports.
+#[derive(Debug, Clone)]
+pub enum Engine<'a> {
+    /// One pipeline.
+    Pipeline {
+        /// Live host ops and the channel that carries them. The ops race
+        /// the hazard machinery for real, including writes landing inside
+        /// open RAW windows.
+        ctrl: Option<CtrlOps<'a>>,
+        /// Seeded bit-flip campaign. Packets the fault engine reports as
+        /// corrupted or killed are exempt from the per-packet comparison;
+        /// final maps are still compared, and reported, because a fault
+        /// that reached map state should show.
+        faults: Option<FaultConfig>,
+    },
+    /// `replicas` copies of the design behind RSS steering and the
+    /// shared-map fabric. Host ops apply fenced to canonical storage.
+    Sharded {
+        /// Replica count.
+        replicas: usize,
+        /// RSS hash seed.
+        seed: u64,
+        /// Fabric shape and the maps it shares.
+        fabric: SharedMapOptions,
+        /// `(at, op)` host ops, positioned as in [`CtrlOps::ops`].
+        ops: &'a [(usize, HostOp)],
+    },
+    /// Sharded replicas under a replica-failure schedule, checked against
+    /// the fault-free reference. Packets of flows homed on a failed
+    /// replica are exempt from the per-packet comparison: losing part of
+    /// a session legitimately changes stateful verdicts downstream. Final
+    /// maps are not compared, since a failure legitimately loses private
+    /// state no [`MergeStrategy`] can reconstruct; the scenario's merges
+    /// are the fail-over reconciliation policy instead.
+    Failover {
+        /// Replica count.
+        replicas: usize,
+        /// RSS hash seed.
+        seed: u64,
+        /// Fabric shape and the maps it shares.
+        fabric: SharedMapOptions,
+        /// Failures to inject and the watchdog budget they must meet.
+        failures: ReplicaFaultConfig,
+    },
+}
+
+impl<'a> Engine<'a> {
+    /// The host-op schedule as the reference executes it.
+    fn ops(&self) -> &'a [(usize, HostOp)] {
+        match *self {
+            Engine::Pipeline { ctrl: Some(c), .. } => c.ops,
+            Engine::Sharded { ops, .. } => ops,
+            _ => &[],
+        }
+    }
+}
+
+/// One differential check: the program, its design, the trace and the
+/// engine that runs it.
+pub struct Scenario<'a> {
+    /// The reference program.
+    pub program: &'a Program,
+    /// The design under test.
+    pub design: &'a PipelineDesign,
+    /// The packet trace, in arrival order.
+    pub packets: &'a [Vec<u8>],
+    /// Host-side map writes (routes, rules, bindings) applied to every
+    /// store before any packet runs.
+    pub setup: &'a dyn Fn(&mut MapStore),
+    /// Per-map merge overrides. Unlisted maps use
+    /// [`MergeStrategy::Direct`] when shared, [`MergeStrategy::SumDelta`]
+    /// for arrays and [`MergeStrategy::Union`] otherwise.
+    pub merges: &'a [(u32, MergeStrategy)],
+    /// Simulator options. The harness owns three of them: [`check`]
+    /// freezes the clock whatever `freeze_time_ns` says, and picks the
+    /// plans itself, so it rejects a caller's `fuse: false` or
+    /// `check_proofs: true` as misuse.
+    pub options: SimOptions,
+    /// The engine under test.
+    pub engine: Engine<'a>,
+}
+
+fn no_setup(_: &mut MapStore) {}
+
+impl<'a> Scenario<'a> {
+    /// One plain pipeline running `packets` from empty maps.
+    pub fn new(program: &'a Program, design: &'a PipelineDesign, packets: &'a [Vec<u8>]) -> Self {
+        Scenario {
+            program,
+            design,
+            packets,
+            setup: &no_setup,
+            merges: &[],
+            options: SimOptions::default(),
+            engine: Engine::Pipeline { ctrl: None, faults: None },
+        }
+    }
+}
+
+/// What a [`check`] found.
+#[derive(Debug)]
+pub struct Report {
+    /// Every finding; empty means the engine matched the reference.
+    pub divergences: Vec<Divergence>,
+    /// Packet indices exempt from the per-packet comparison because a
+    /// fault touched them. Sorted.
+    pub affected: Vec<u64>,
+    /// The pipeline after the run ([`Engine::Pipeline`]): its counters,
+    /// fault engine and availability.
+    pub pipeline: Option<PipelineSim>,
+    /// The sharded run's report ([`Engine::Sharded`],
+    /// [`Engine::Failover`]): fail-over stats, fabric telemetry, cycles.
+    pub shards: Option<ShardReport>,
+}
+
+impl Report {
+    /// Panic with the divergences unless there are none.
+    pub fn assert_clean(&self) {
+        let shown: Vec<String> = self.divergences.iter().take(8).map(|d| d.to_string()).collect();
+        assert!(
+            self.divergences.is_empty(),
+            "engine diverges from the sequential reference ({} issues):\n  {}",
+            self.divergences.len(),
+            shown.join("\n  ")
+        );
+    }
+}
+
+/// Run the scenario's engine and the sequential VM reference over the same
+/// trace and compare everything observable: per-packet actions and bytes,
+/// host-op results, final maps (merged per [`MergeStrategy`]), per-key
+/// linearizability and fail-over accounting of sharded runs, and the
+/// compile-time proofs in both engines.
+///
+/// Every scenario runs on the fused plan, the one production uses. A
+/// scenario without bit flips also runs on the unfused plan with proof
+/// checking on, since only the unfused plan rechecks proofs; each plan is
+/// compared against the one reference, and a finding both plans make is
+/// reported once. [`Report::pipeline`] and [`Report::shards`] describe
+/// the fused run.
+///
+/// # Panics
+///
+/// Only on misuse of the harness: options that pick a plan
+/// ([`SimOptions::fuse`], [`SimOptions::check_proofs`]), a host op naming
+/// a map the program does not have, or a panicking simulator thread.
+/// Everything the simulator does wrong is a [`Divergence`].
+pub fn check(s: &Scenario) -> Report {
+    assert!(
+        s.options.fuse && !s.options.check_proofs,
+        "check picks the plans: leave `fuse` and `check_proofs` at their defaults"
+    );
+    let fused = SimOptions { freeze_time_ns: Some(FROZEN_NS), ..s.options };
+    // A flipped bit can legitimately break a proof.
+    let bitflips = matches!(s.engine, Engine::Pipeline { faults: Some(_), .. });
+    let unfused = (!bitflips).then_some(SimOptions { fuse: false, check_proofs: true, ..fused });
+    let mut ops = s.engine.ops().to_vec();
+    ops.sort_by_key(|&(at, _)| at);
+    let coalesced = match s.engine {
+        Engine::Pipeline { ctrl: Some(CtrlOps { coalesce: true, .. }), .. } => {
+            Some(Coalesced::new(s.program, &ops))
+        }
+        _ => None,
+    };
+    let hw_ops = coalesced.as_ref().map_or(&ops[..], |c| &c.ops[..]);
+
+    let mut hw = Hw::new(s, fused, hw_ops.len());
+    let mut unfused_hw = unfused.map(|options| Hw::new(s, options, hw_ops.len()));
+    let packets = s.packets;
+    let (reference, run, unfused_run) = std::thread::scope(|scope| {
+        let hw = &mut hw;
+        let run = scope.spawn(move || hw.run(packets, hw_ops));
+        let unfused_run =
+            unfused_hw.as_mut().map(|hw| scope.spawn(move || hw.run(packets, hw_ops)));
+        let reference = Reference::run(s.program, packets, &ops, s.setup);
+        let join = |h: std::thread::ScopedJoinHandle<'_, Run>| {
+            h.join().expect("simulator thread panicked")
+        };
+        (reference, join(run), unfused_run.map(join))
+    });
+
+    let mut initial = MapStore::new(&s.design.maps);
+    (s.setup)(&mut initial);
+    let mut divergences = findings(s, &reference, &initial, &hw, &run, coalesced.as_ref());
+    if let (Some(hw), Some(run)) = (&unfused_hw, &unfused_run) {
+        for d in findings(s, &reference, &initial, hw, run, coalesced.as_ref()) {
+            if !divergences.contains(&d) {
+                divergences.push(d);
+            }
+        }
+    }
+    Report {
+        divergences,
+        affected: run.affected,
+        pipeline: match hw {
+            Hw::Pipeline(sim) => Some(sim),
+            Hw::Sharded(_) => None,
+        },
+        shards: run.shards,
+    }
+}
+
+/// Everything one engine run got wrong against the reference.
+fn findings(
+    s: &Scenario,
+    reference: &Reference,
+    initial: &MapStore,
+    hw: &Hw,
+    run: &Run,
+    coalesced: Option<&Coalesced>,
+) -> Vec<Divergence> {
+    let mut divergences = run.divergences.clone();
+    divergences.extend(compare_packets(&reference.outcomes, &run.outcomes, &run.affected));
+    divergences.extend(compare_ops(&reference.ops, &run.ops, coalesced));
+    let shared = match &s.engine {
+        Engine::Sharded { fabric, .. } | Engine::Failover { fabric, .. } => &fabric.shared_maps[..],
+        Engine::Pipeline { .. } => &[],
+    };
+    if let Some(report) = &run.shards {
+        let failures = match &s.engine {
+            Engine::Failover { failures, .. } => Some(failures),
+            _ => None,
+        };
+        divergences.extend(failover_accounting(report, s.packets.len(), failures));
+        if let Err(v) = check_linearizable(initial, shared, &report.events) {
+            divergences.push(Divergence::Coherence { detail: v.to_string() });
+        }
+    }
+    if !matches!(s.engine, Engine::Failover { .. }) {
+        divergences.extend(compare_maps(
+            s.program,
+            reference.vm.maps(),
+            initial,
+            &hw.replica_stores(),
+            hw.canonical_store(),
+            shared,
+            s.merges,
+        ));
+    }
+    divergences.extend(compare_proofs(&reference.vm, &hw.proof_violations()));
+    divergences
+}
+
+/// The sequential reference: packets in arrival order on the VM, each
+/// host op applied once the packets before its position have run.
+struct Reference {
+    vm: Vm,
+    /// Per packet: the verdict and the output bytes.
+    outcomes: Vec<(XdpAction, Vec<u8>)>,
+    ops: OpResults,
+}
+
+impl Reference {
+    fn run(
+        program: &Program,
+        packets: &[Vec<u8>],
+        ops: &[(usize, HostOp)],
+        setup: &dyn Fn(&mut MapStore),
+    ) -> Reference {
+        let mut vm = Vm::new(program);
+        vm.set_time_ns(FROZEN_NS);
+        // Soundness gate: every fact the abstract interpreter claims about
+        // the program is rechecked against the reference execution.
+        if let Ok(decoded) = program.decode() {
+            vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
+        }
+        setup(vm.maps_mut());
+        let mut pending = ops.iter().peekable();
+        let mut results = Vec::with_capacity(ops.len());
+        let mut outcomes = Vec::with_capacity(packets.len());
+        for (i, p) in packets.iter().enumerate() {
+            while let Some((_, op)) = pending.next_if(|&&(at, _)| at <= i) {
+                results.push(apply_host_op_to_store(vm.maps_mut(), op));
+            }
+            let mut bytes = p.clone();
+            outcomes.push(match vm.run(&mut bytes, 0) {
+                Ok(out) => (out.action, bytes),
+                // The hardware drops on access faults.
+                Err(_) => (XdpAction::Drop, p.clone()),
+            });
+        }
+        for (_, op) in pending {
+            results.push(apply_host_op_to_store(vm.maps_mut(), op));
+        }
+        Reference { vm, outcomes, ops: results }
+    }
+}
+
+/// The engine under test, configured and set up, before or after its run.
+enum Hw {
+    Pipeline(PipelineSim),
+    Sharded(ShardedNic),
+}
+
+/// What an engine run produced, in reference numbering.
+struct Run {
+    /// Findings made while feeding the trace.
+    divergences: Vec<Divergence>,
+    /// `(packet index, outcome)` in completion order.
+    outcomes: Vec<(u64, SimOutcome)>,
+    /// Host-op completions in submission order.
+    ops: OpResults,
+    /// Packet indices a fault touched. Sorted.
+    affected: Vec<u64>,
+    shards: Option<ShardReport>,
+}
+
+impl Hw {
+    fn new(s: &Scenario, options: SimOptions, hw_ops: usize) -> Hw {
+        match &s.engine {
+            Engine::Pipeline { ctrl, faults } => {
+                let mut sim = PipelineSim::with_options(s.design, options);
+                (s.setup)(sim.maps_mut());
+                if let Some(c) = ctrl {
+                    let queue_depth = c.options.queue_depth.max(hw_ops);
+                    sim.attach_ctrl(CtrlOptions { queue_depth, ..c.options });
+                }
+                if let Some(f) = faults {
+                    sim.attach_faults(*f);
+                }
+                Hw::Pipeline(sim)
+            }
+            Engine::Sharded { replicas, seed, fabric, .. }
+            | Engine::Failover { replicas, seed, fabric, .. } => {
+                let fabric = SharedMapOptions { log_events: true, ..fabric.clone() };
+                let mut nic = ShardedNic::new(s.design, *replicas, *seed, options, fabric);
+                if let Engine::Failover { failures, .. } = &s.engine {
+                    nic.attach_replica_faults(failures.clone(), s.merges.to_vec());
+                }
+                nic.setup_maps(s.setup);
+                Hw::Sharded(nic)
+            }
+        }
+    }
+
+    fn run(&mut self, packets: &[Vec<u8>], ops: &[(usize, HostOp)]) -> Run {
+        match self {
+            Hw::Pipeline(sim) => run_pipeline(sim, packets, ops),
+            Hw::Sharded(nic) => {
+                let report = nic.run_with_ops(packets.iter().cloned(), ops);
+                Run {
+                    divergences: Vec::new(),
+                    outcomes: report.outcomes.iter().map(|(_, g, o)| (*g, o.clone())).collect(),
+                    ops: report.host_completions.iter().map(|c| c.result.clone()).collect(),
+                    affected: report.affected.clone(),
+                    shards: Some(report),
+                }
+            }
+        }
+    }
+
+    fn replica_stores(&self) -> Vec<&MapStore> {
+        match self {
+            Hw::Pipeline(sim) => vec![sim.maps()],
+            Hw::Sharded(nic) => (0..nic.replicas()).map(|r| nic.sim(r).maps()).collect(),
+        }
+    }
+
+    /// The one storage copy of shared maps (a lone pipeline's own store).
+    fn canonical_store(&self) -> &MapStore {
+        match self {
+            Hw::Pipeline(sim) => sim.maps(),
+            Hw::Sharded(nic) => nic.shared_store(),
+        }
+    }
+
+    /// `(engine part, unguarded accesses that left proven bounds)`.
+    fn proof_violations(&self) -> Vec<(String, u64)> {
+        match self {
+            Hw::Pipeline(sim) => vec![("pipeline".into(), sim.counters().proof_violations)],
+            Hw::Sharded(nic) => (0..nic.replicas())
+                .map(|r| (format!("replica {r}"), nic.sim(r).counters().proof_violations))
+                .collect(),
+        }
+    }
+}
+
+/// Feed the trace to one pipeline — packets enqueue, each op is submitted
+/// just before the packet at its position — then let everything drain.
+fn run_pipeline(sim: &mut PipelineSim, packets: &[Vec<u8>], ops: &[(usize, HostOp)]) -> Run {
+    let mut divergences = Vec::new();
+    let mut submit = |sim: &mut PipelineSim, op: &HostOp| {
+        if let Err(e) = sim.submit_host_op(op.clone()) {
+            divergences.push(Divergence::HostOp {
+                id: u64::MAX,
+                detail: format!("submission rejected: {e}"),
+            });
+        }
+    };
+    // Hardware sequence numbers count accepted arrivals only.
+    let mut index_of_seq: Vec<u64> = Vec::with_capacity(packets.len());
+    let mut pending = ops.iter().peekable();
+    let mut stalled = None;
+    'feed: for (i, p) in packets.iter().enumerate() {
+        while let Some((_, op)) = pending.next_if(|&&(at, _)| at <= i) {
+            submit(sim, op);
+        }
+        let mut drains = 0u32;
+        loop {
+            match sim.try_enqueue(p.clone()) {
+                Ok(()) => break,
+                // Dropped at ingress: shows up as a missing completion.
+                Err(SimError::FrameTooLarge { .. }) => continue 'feed,
+                Err(SimError::QueueFull { .. }) if drains < 64 => {
+                    sim.settle(1_000_000);
+                    drains += 1;
+                }
+                Err(e) => {
+                    stalled = Some(Divergence::Loss {
+                        detail: format!("packet {i} refused after {drains} queue drains: {e}"),
+                    });
+                    break 'feed;
+                }
+            }
+        }
+        index_of_seq.push(i as u64);
+    }
+    for (_, op) in pending {
+        submit(sim, op);
+    }
+    divergences.extend(stalled);
+    sim.settle(50_000_000);
+    sim.finalize_faults();
+    let index = |seq: u64| index_of_seq.get(seq as usize).copied().unwrap_or(u64::MAX);
+    Run {
+        divergences,
+        outcomes: sim.drain().into_iter().map(|o| (index(o.seq), o)).collect(),
+        ops: sim.host_completions().into_iter().map(|c| c.result).collect(),
+        affected: sim
+            .fault_engine()
+            .map(|e| e.affected_seqs().iter().map(|&seq| index(seq)).collect())
+            .unwrap_or_default(),
+        shards: None,
+    }
+}
+
+/// Per packet, the engine must render the reference's verdict and, for
+/// forwarded packets, its output bytes. Packets in `affected` are exempt;
+/// every other packet must complete exactly once.
+fn compare_packets(
+    expected: &[(XdpAction, Vec<u8>)],
+    outcomes: &[(u64, SimOutcome)],
+    affected: &[u64],
+) -> Vec<Divergence> {
+    let mut divs = Vec::new();
+    let mut hw: Vec<Option<&SimOutcome>> = vec![None; expected.len()];
+    for (i, out) in outcomes {
+        match hw.get_mut(*i as usize) {
+            Some(slot @ None) => *slot = Some(out),
+            Some(Some(_)) => {
+                divs.push(Divergence::Loss { detail: format!("packet {i} completed twice") });
+            }
+            None => divs.push(Divergence::Loss {
+                detail: format!("completion (hw seq {}) matches no offered packet", out.seq),
+            }),
+        }
+    }
+    let (mut offered, mut completed) = (0, 0);
+    for (i, ((action, bytes), out)) in expected.iter().zip(&hw).enumerate() {
+        if affected.binary_search(&(i as u64)).is_ok() {
+            continue;
+        }
+        offered += 1;
+        let Some(out) = out else { continue };
+        completed += 1;
+        if out.action != *action {
+            divs.push(Divergence::Action { seq: i, vm: *action, hw: out.action });
+        } else if out.action.forwards() && out.packet != *bytes {
+            let at = out
+                .packet
+                .iter()
+                .zip(bytes)
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| out.packet.len().min(bytes.len()));
+            divs.push(Divergence::Packet { seq: i, at });
+        }
+    }
+    if completed != offered {
+        divs.insert(0, Divergence::Count { vm: offered, hw: completed });
+    }
+    divs
+}
+
+/// Host ops complete in submission order (the channel is a FIFO), so
+/// completion `i` answers submitted op `i`; a coalesced schedule's
+/// carrier results are first expanded back onto the original ops.
+fn compare_ops(
+    expected: &[Result<HostOpResult, MapError>],
+    completions: &[Result<HostOpResult, MapError>],
+    coalesced: Option<&Coalesced>,
+) -> Vec<Divergence> {
+    let submitted = coalesced.map_or(expected.len(), |c| c.carriers.len());
+    if completions.len() != submitted {
+        return vec![Divergence::HostOp {
+            id: u64::MAX,
+            detail: format!("{} of {submitted} submitted ops completed", completions.len()),
+        }];
+    }
+    let results = match coalesced {
+        Some(c) => c.expand(completions),
+        None => completions.to_vec(),
+    };
+    results
+        .iter()
+        .zip(expected)
+        .enumerate()
+        .filter(|(_, (hw, vm))| hw != vm)
+        .map(|(i, (hw, vm))| Divergence::HostOp {
+            id: i as u64,
+            detail: format!("hw={hw:?} vm={vm:?}"),
+        })
+        .collect()
+}
+
+/// Fail-over accounting of a sharded run: every offered packet is
+/// completed, drained, discarded or an accounted ingress drop; losses
+/// stay inside the affected flows; and every injected failure (when a
+/// schedule is attached) is detected within the watchdog budget.
+fn failover_accounting(
+    report: &ShardReport,
+    offered: usize,
+    failures: Option<&ReplicaFaultConfig>,
+) -> Vec<Divergence> {
+    let mut divs = Vec::new();
+    let offered = offered as u64;
+    let completed: u64 = report.completed.iter().sum();
+    let drained = report.drained.len() as u64;
+    let discarded = report.discarded.len() as u64;
+    let dropped: u64 = report.dropped.iter().sum();
+    if offered != completed + drained + discarded + dropped {
+        divs.push(Divergence::Loss {
+            detail: format!(
+                "accounting leak: offered {offered} != completed {completed} + drained {drained} \
+                 + discarded {discarded} + dropped {dropped}"
+            ),
+        });
+    }
+    for g in report.drained.iter().chain(&report.discarded) {
+        if report.affected.binary_search(g).is_err() {
+            divs.push(Divergence::Loss {
+                detail: format!("packet {g} lost outside the affected flow set"),
+            });
+        }
+    }
+    let Some(failures) = failures else { return divs };
+    let f = report.failover;
+    if f.detected + f.masked_brownouts < f.injected {
+        divs.push(Divergence::Loss {
+            detail: format!(
+                "undetected failures: injected {}, detected {}, masked {}",
+                f.injected, f.detected, f.masked_brownouts
+            ),
+        });
+    }
+    if f.detection_latency_max > failures.watchdog_budget {
+        divs.push(Divergence::Loss {
+            detail: format!(
+                "detection latency {} blew the watchdog budget {}",
+                f.detection_latency_max, failures.watchdog_budget
+            ),
+        });
+    }
+    divs
+}
+
+fn entries(m: &Map) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()
 }
 
 /// Little-endian u64 word `w` of a value, zero-padded at the tail.
@@ -322,133 +773,22 @@ fn value_word(v: &[u8], w: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Differential check of a [`ShardedNic`] run against the sequential
-/// reference: the same trace run packet-by-packet on the VM, with host
-/// ops applied at their schedule positions.
-///
-/// Per packet, the owning replica must produce the VM's action and
-/// output bytes (RSS steering never changes verdicts — only which
-/// replica renders them). Final map state is reconstructed per
-/// [`MergeStrategy`] — callers override per map via `merge`; unlisted
-/// maps default to [`MergeStrategy::Direct`] for shared maps,
-/// [`MergeStrategy::SumDelta`] for arrays, and [`MergeStrategy::Union`]
-/// otherwise. The shared-map access history is additionally checked for
-/// per-key linearizability ([`check_linearizable`]), and host-op results
-/// must match the reference. The run must also be lossless: any RX-queue
-/// drop panics, since a silently shorter trace would vacuously pass.
-///
-/// # Panics
-///
-/// Panics if the sharded run drops a packet or the simulator thread
-/// panics.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_sharded(
+/// Compare every map's final contents against the reference, rebuilt
+/// from the engine's `replicas` (and the `canonical` copy of `shared`
+/// maps) per [`MergeStrategy`].
+fn compare_maps(
     program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    ops: &[(usize, HostOp)],
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-    sim_options: SimOptions,
+    vm: &MapStore,
+    initial: &MapStore,
+    replicas: &[&MapStore],
+    canonical: &MapStore,
+    shared: &[u32],
+    merges: &[(u32, MergeStrategy)],
 ) -> Vec<Divergence> {
-    use std::collections::btree_map::Entry;
-    use std::collections::BTreeMap;
-
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(sim_options.freeze_time_ns.unwrap_or(1000));
-    if let Ok(decoded) = program.decode() {
-        vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
-    }
-    let mut fabric = fabric;
-    fabric.log_events = true;
-    let shared_ids = fabric.shared_maps.clone();
-    let mut nic = ShardedNic::new(design, replicas, seed, sim_options, fabric);
-    setup(vm.maps_mut());
-    nic.setup_maps(&setup);
-    // Baseline for delta merging and the linearizability replay.
-    let mut initial = MapStore::new(&design.maps);
-    setup(&mut initial);
-
-    // Sequential reference: packets in arrival order, each op applied
-    // once the packets before its position have been processed.
-    let mut sorted_ops: Vec<(usize, HostOp)> = ops.to_vec();
-    sorted_ops.sort_by_key(|&(at, _)| at);
-    let mut next_op = 0usize;
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    let mut vm_op_results = Vec::with_capacity(sorted_ops.len());
-    for (i, p) in packets.iter().enumerate() {
-        while next_op < sorted_ops.len() && sorted_ops[next_op].0 <= i {
-            vm_op_results.push(apply_host_op_to_store(vm.maps_mut(), &sorted_ops[next_op].1));
-            next_op += 1;
-        }
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
-        }
-    }
-    while next_op < sorted_ops.len() {
-        vm_op_results.push(apply_host_op_to_store(vm.maps_mut(), &sorted_ops[next_op].1));
-        next_op += 1;
-    }
-
-    let report = nic.run_with_ops(packets.iter().cloned(), &sorted_ops);
-    assert_eq!(
-        report.dropped,
-        vec![0; replicas],
-        "sharded differential runs must be lossless (RX overflow would shorten the trace)"
-    );
-
     let mut divs = Vec::new();
-    let total: usize = report.outcomes.len();
-    if total != packets.len() {
-        divs.push(Divergence::Count { vm: packets.len(), hw: total });
-        return divs;
-    }
-    // Re-sequence per-replica completions into global arrival order.
-    let mut hw = vec![None; packets.len()];
-    for (_, g, out) in &report.outcomes {
-        hw[*g as usize] = Some(out);
-    }
-    for (i, out) in hw.iter().enumerate() {
-        let out = out.as_ref().expect("every arrival completes exactly once");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    for (i, (res, vm_res)) in report.host_completions.iter().zip(&vm_op_results).enumerate() {
-        if &res.result != vm_res {
-            divs.push(Divergence::HostOp {
-                id: i as u64,
-                detail: format!("shared store returned {:?}, reference {:?}", res.result, vm_res),
-            });
-        }
-    }
-
-    for def in &design.maps {
-        let strategy = merge.iter().find(|(m, _)| *m == def.id).map(|&(_, s)| s).unwrap_or(
-            if shared_ids.contains(&def.id) {
+    for def in &program.maps {
+        let strategy = merges.iter().find(|(m, _)| *m == def.id).map(|&(_, s)| s).unwrap_or(
+            if shared.contains(&def.id) {
                 MergeStrategy::Direct
             } else {
                 match def.kind {
@@ -457,49 +797,40 @@ pub fn compare_sharded(
                 }
             },
         );
-        let vm_map = vm.maps().get(def.id).expect("vm map");
-        let vm_entries = || -> BTreeMap<Vec<u8>, Vec<u8>> {
-            vm_map.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect()
-        };
-        let matches = match strategy {
-            MergeStrategy::Ignore => true,
-            MergeStrategy::Direct => {
-                let m = nic.shared_store().get(def.id).expect("shared map");
-                let merged: BTreeMap<Vec<u8>, Vec<u8>> =
-                    m.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-                merged == vm_entries()
+        let vm_map = vm.get(def.id).expect("vm map");
+        let copies: Option<Vec<&Map>> = replicas.iter().map(|r| r.get(def.id)).collect();
+        let matches = match (strategy, copies) {
+            (MergeStrategy::Ignore, _) => true,
+            (MergeStrategy::Direct, _) => {
+                canonical.get(def.id).map(entries) == Some(entries(vm_map))
             }
-            MergeStrategy::Union => {
-                let mut merged: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            (_, None) => false,
+            (MergeStrategy::Union, Some(copies)) => {
+                let mut merged = BTreeMap::new();
                 let mut conflict = false;
-                for r in 0..replicas {
-                    let m = nic.sim(r).maps().get(def.id).expect("replica map");
-                    for (_, k, v) in m.iter() {
-                        match merged.entry(k.to_vec()) {
-                            Entry::Occupied(e) => conflict |= e.get() != v,
-                            Entry::Vacant(e) => {
-                                e.insert(v.to_vec());
-                            }
+                for (_, k, v) in copies.iter().flat_map(|m| m.iter()) {
+                    match merged.entry(k.to_vec()) {
+                        Entry::Occupied(e) => conflict |= e.get() != v,
+                        Entry::Vacant(e) => {
+                            e.insert(v.to_vec());
                         }
                     }
                 }
-                !conflict && merged == vm_entries()
+                !conflict && merged == entries(vm_map)
             }
-            MergeStrategy::SumDelta => {
+            (MergeStrategy::SumDelta, Some(copies)) => {
                 let init = initial.get(def.id).expect("initial map");
                 let words = def.value_size.div_ceil(8) as usize;
                 init.iter().all(|(slot, key, iv)| {
-                    let vm_v = vm_map.iter().find(|(_, k, _)| *k == key).map(|(_, _, v)| v);
-                    let Some(vm_v) = vm_v else { return false };
+                    let Some((_, _, vm_v)) = vm_map.iter().find(|(_, k, _)| *k == key) else {
+                        return false;
+                    };
                     (0..words).all(|w| {
-                        let mut acc = value_word(iv, w);
-                        for r in 0..replicas {
-                            let rv =
-                                nic.sim(r).maps().get(def.id).expect("replica map").value(slot);
-                            acc =
-                                acc.wrapping_add(value_word(rv, w).wrapping_sub(value_word(iv, w)));
-                        }
-                        acc == value_word(vm_v, w)
+                        let base = value_word(iv, w);
+                        let sum = copies.iter().fold(base, |acc, m| {
+                            acc.wrapping_add(value_word(m.value(slot), w).wrapping_sub(base))
+                        });
+                        sum == value_word(vm_v, w)
                     })
                 })
             }
@@ -508,727 +839,62 @@ pub fn compare_sharded(
             divs.push(Divergence::Map { map: def.id });
         }
     }
-
-    if let Err(v) = check_linearizable(&initial, &shared_ids, &report.events) {
-        divs.push(Divergence::Coherence { detail: v.to_string() });
-    }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    for r in 0..replicas {
-        let hw_violations = nic.sim(r).counters().proof_violations;
-        if hw_violations > 0 {
-            divs.push(Divergence::Proof {
-                detail: format!(
-                    "replica {r}: {hw_violations} unguarded accesses left proven bounds"
-                ),
-            });
-        }
-    }
     divs
 }
 
-/// Assert that a sharded run is equivalent to the sequential reference
-/// ([`compare_sharded`] with an empty divergence list), panicking with
-/// every divergence otherwise.
-#[allow(clippy::too_many_arguments)]
-pub fn assert_equivalent_sharded(
-    program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    ops: &[(usize, HostOp)],
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-) -> Vec<Divergence> {
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
-    let divs = compare_sharded(
-        program,
-        design,
-        replicas,
-        seed,
-        packets,
-        ops,
-        setup,
-        merge,
-        fabric,
-        sim_options,
-    );
-    assert!(
-        divs.is_empty(),
-        "sharded run diverged from the sequential reference:\n{}",
-        divs.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
-    );
-    divs
+/// Every proof the reference contradicted, plus every engine part that
+/// counted unguarded accesses leaving proven bounds.
+fn compare_proofs(vm: &Vm, hw: &[(String, u64)]) -> Vec<Divergence> {
+    let vm_violations =
+        vm.proof_violations().iter().map(|v| Divergence::Proof { detail: format!("vm: {v}") });
+    let hw_violations = hw.iter().filter(|(_, n)| *n > 0).map(|(part, n)| Divergence::Proof {
+        detail: format!("{part}: {n} unguarded accesses left proven bounds"),
+    });
+    vm_violations.chain(hw_violations).collect()
 }
 
-/// Result of a fail-over differential run ([`compare_sharded_failover`]).
-#[derive(Debug)]
-pub struct FailoverDiff {
-    /// Divergences found (empty means the run passed every check).
-    pub divergences: Vec<Divergence>,
-    /// The sharded run's full report, including [`ShardReport::failover`](crate::shared::ShardReport::failover)
-    /// stats, for callers that gate on availability or detection latency.
-    pub report: crate::shared::ShardReport,
+/// The coalesced rewrite of an op schedule: each train (the ops at one
+/// position) is rewritten by [`coalesce_ops`], and its carriers keep the
+/// train's position.
+struct Coalesced {
+    ops: Vec<(usize, HostOp)>,
+    carriers: Vec<CoalescedOp>,
+    /// Carrier index one past each train's last carrier.
+    ends: Vec<usize>,
 }
 
-/// Differential check of a [`ShardedNic`] run *under replica failures*
-/// against the fault-free sequential reference.
-///
-/// The reference VM processes every packet; the sharded run takes the
-/// same trace with `schedule`'s replica faults injected. Correctness
-/// under failure means:
-///
-/// * **Zero silent loss** — every offered packet is completed, drained,
-///   discarded, or an accounted ingress drop; the sums must close.
-/// * **Blast-radius containment** — every lost packet belongs to a flow
-///   homed on a replica that failed ([`ShardReport::affected`](crate::shared::ShardReport::affected)); a loss
-///   outside the affected set means the fail-over leaked into healthy
-///   traffic.
-/// * **Survivor equivalence** — every completed packet *outside* the
-///   affected set must be bit-equivalent (action and output bytes) to
-///   the sequential reference. Affected flows are exempt: losing part of
-///   a session legitimately changes stateful verdicts downstream.
-/// * **Bounded detection** — every injected (non-masked) failure is
-///   detected, and never later than the watchdog budget.
-/// * **Coherence** — the surviving shared-map history stays per-key
-///   linearizable ([`check_linearizable`]).
-///
-/// Final map state is *not* compared: a failure legitimately loses
-/// private state the [`MergeStrategy`] cannot reconstruct. Callers who
-/// need map equivalence should use [`compare_sharded`] on a fault-free
-/// run.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_sharded_failover(
-    program: &Program,
-    design: &PipelineDesign,
-    replicas: usize,
-    seed: u64,
-    packets: &[Vec<u8>],
-    rfault: ReplicaFaultConfig,
-    setup: impl Fn(&mut MapStore),
-    merge: &[(u32, MergeStrategy)],
-    fabric: SharedMapOptions,
-) -> FailoverDiff {
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    let mut fabric = fabric;
-    fabric.log_events = true;
-    let shared_ids = fabric.shared_maps.clone();
-    let mut nic = ShardedNic::new(design, replicas, seed, sim_options, fabric);
-    nic.attach_replica_faults(rfault.clone(), merge.to_vec());
-    setup(vm.maps_mut());
-    nic.setup_maps(&setup);
-    let mut initial = MapStore::new(&design.maps);
-    setup(&mut initial);
-
-    // Fault-free sequential reference over the whole trace.
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    for p in packets {
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
+impl Coalesced {
+    fn new(program: &Program, ops: &[(usize, HostOp)]) -> Coalesced {
+        let shapes: BTreeMap<u32, MapShape> = program
+            .maps
+            .iter()
+            .map(|d| {
+                (
+                    d.id,
+                    MapShape { key_size: d.key_size as usize, value_size: d.value_size as usize },
+                )
+            })
+            .collect();
+        let mut c = Coalesced { ops: Vec::new(), carriers: Vec::new(), ends: Vec::new() };
+        for train in ops.chunk_by(|a, b| a.0 == b.0) {
+            let originals: Vec<HostOp> = train.iter().map(|(_, op)| op.clone()).collect();
+            let (carriers, _) = coalesce_ops(&originals, |id| shapes.get(&id).copied());
+            c.ops.extend(carriers.iter().map(|k| (train[0].0, k.op.clone())));
+            c.carriers.extend(carriers);
+            c.ends.push(c.carriers.len());
         }
+        c
     }
 
-    let report = nic.run(packets.iter().cloned());
-    let mut divs = Vec::new();
-
-    // Zero silent loss: the accounting must close exactly.
-    let offered = packets.len() as u64;
-    let completed: u64 = report.completed.iter().sum();
-    let drained = report.drained.len() as u64;
-    let discarded = report.discarded.len() as u64;
-    let dropped: u64 = report.dropped.iter().sum();
-    if offered != completed + drained + discarded + dropped {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "accounting leak: offered {offered} != completed {completed} + drained {drained} \
-                 + discarded {discarded} + dropped {dropped}"
-            ),
-        });
-    }
-
-    // Blast-radius containment: losses only inside the affected set.
-    let affected: std::collections::BTreeSet<u64> = report.affected.iter().copied().collect();
-    for g in report.drained.iter().chain(&report.discarded) {
-        if !affected.contains(g) {
-            divs.push(Divergence::Loss {
-                detail: format!("packet {g} lost outside the affected flow set"),
-            });
+    /// Per-original-op results from per-carrier completions.
+    fn expand(&self, results: &[Result<HostOpResult, MapError>]) -> OpResults {
+        let mut out = Vec::new();
+        let mut start = 0;
+        for &end in &self.ends {
+            out.extend(expand_results(&self.carriers[start..end], &results[start..end]));
+            start = end;
         }
-    }
-
-    // Bounded detection: every non-masked injection is caught in budget.
-    let f = report.failover;
-    if f.detected + f.masked_brownouts < f.injected {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "undetected failures: injected {}, detected {}, masked {}",
-                f.injected, f.detected, f.masked_brownouts
-            ),
-        });
-    }
-    if f.detection_latency_max > rfault.watchdog_budget {
-        divs.push(Divergence::Loss {
-            detail: format!(
-                "detection latency {} blew the watchdog budget {}",
-                f.detection_latency_max, rfault.watchdog_budget
-            ),
-        });
-    }
-
-    // Survivor equivalence: completed non-affected packets must be
-    // bit-equivalent to the fault-free reference.
-    for (_, g, out) in &report.outcomes {
-        let i = *g as usize;
-        if i >= packets.len() || affected.contains(g) {
-            continue;
-        }
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    if let Err(v) = check_linearizable(&initial, &shared_ids, &report.events) {
-        divs.push(Divergence::Coherence { detail: v.to_string() });
-    }
-
-    FailoverDiff { divergences: divs, report }
-}
-
-/// Differential run with *live* host ops interleaved into the packet
-/// stream.
-///
-/// The pipeline side attaches a control channel and submits each op at its
-/// schedule position while packets are still in flight, so ops race the
-/// pipeline's hazard machinery for real — including writes landing inside
-/// open RAW windows. The reference side is strictly sequential: each op is
-/// applied to the VM's map store between the packets it is scheduled
-/// between. Divergences cover per-packet outcomes, per-op results, and
-/// final map contents.
-pub fn compare_with_ops(
-    program: &Program,
-    design: &PipelineDesign,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    compare_ops_core(program, design, events, events, &|r| r, &setup, ignore_maps, ctrl)
-}
-
-/// Like [`compare_with_ops`], but the pipeline executes the *coalesced*
-/// rewrite of the schedule ([`crate::batch::coalesce_ops`] applied per op
-/// train) while the sequential VM reference still executes the original
-/// ops one by one. Carrier completions are expanded back to per-original
-/// results via the recorded answer mapping, so a pass proves the serving
-/// layer's batching is bit-equivalent to sequential submission — same
-/// per-packet outcomes, same per-op results, same final maps.
-pub fn compare_with_ops_coalesced(
-    program: &Program,
-    design: &PipelineDesign,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    let shapes: std::collections::BTreeMap<u32, MapShape> = program
-        .maps
-        .iter()
-        .map(|d| {
-            (d.id, MapShape { key_size: d.key_size as usize, value_size: d.value_size as usize })
-        })
-        .collect();
-    let shape = |id: u32| shapes.get(&id).copied();
-
-    // Rewrite each op train; carriers keep the train's barrier position.
-    // `carriers` lines up with hw submission order (the ctrl channel is a
-    // FIFO), `bases` records each train's offset into the original op
-    // numbering so per-train answer indices can be scattered globally.
-    let mut hw_events: Vec<HostEvent> = Vec::with_capacity(events.len());
-    let mut carriers: Vec<CoalescedOp> = Vec::new();
-    let mut carrier_train: Vec<usize> = Vec::new(); // carrier -> train id
-    let mut bases: Vec<usize> = Vec::new(); // train id -> original-op base
-    let mut train: Vec<HostOp> = Vec::new();
-    let mut nops_original = 0usize;
-    let mut flush = |train: &mut Vec<HostOp>, hw_events: &mut Vec<HostEvent>, base: usize| {
-        if train.is_empty() {
-            return;
-        }
-        let (coalesced, _) = coalesce_ops(train, shape);
-        let tid = bases.len();
-        bases.push(base);
-        for c in coalesced {
-            hw_events.push(HostEvent::Op(c.op.clone()));
-            carriers.push(c);
-            carrier_train.push(tid);
-        }
-        train.clear();
-    };
-    for ev in events {
-        match ev {
-            HostEvent::Packet(p) => {
-                let base = nops_original - train.len();
-                flush(&mut train, &mut hw_events, base);
-                hw_events.push(HostEvent::Packet(p.clone()));
-            }
-            HostEvent::Op(op) => {
-                train.push(op.clone());
-                nops_original += 1;
-            }
-        }
-    }
-    let base = nops_original - train.len();
-    flush(&mut train, &mut hw_events, base);
-
-    // Expand carrier completions (in FIFO submission order) back to
-    // original per-op results.
-    let expand = move |results: Vec<Result<HostOpResult, MapError>>| {
-        if results.len() != carriers.len() {
-            // Signalled as a count divergence by the core; return the raw
-            // results so the caller still reports the mismatch.
-            return results;
-        }
-        let mut out: Vec<Option<Result<HostOpResult, MapError>>> = vec![None; nops_original];
-        let mut i = 0usize;
-        while i < carriers.len() {
-            let tid = carrier_train[i];
-            let mut j = i;
-            while j < carriers.len() && carrier_train[j] == tid {
-                j += 1;
-            }
-            let expanded = expand_results(&carriers[i..j], &results[i..j]);
-            for (k, r) in expanded.into_iter().enumerate() {
-                out[bases[tid] + k] = Some(r);
-            }
-            i = j;
-        }
-        out.into_iter()
-            .map(|r| r.expect("every original op is answered by exactly one carrier"))
-            .collect()
-    };
-
-    compare_ops_core(program, design, &hw_events, events, &expand, &setup, ignore_maps, ctrl)
-}
-
-/// Per-op results as the host sees them, in submit order.
-type OpResults = Vec<Result<HostOpResult, MapError>>;
-
-/// Shared engine of [`compare_with_ops`] / [`compare_with_ops_coalesced`]:
-/// feed `hw_events` to the pipeline, run `ref_events` sequentially on the
-/// VM, map the pipeline's op completions through `expand` (identity for
-/// the uncoalesced harness), and diff outcomes, op results and final maps.
-#[allow(clippy::too_many_arguments)]
-fn compare_ops_core(
-    program: &Program,
-    design: &PipelineDesign,
-    hw_events: &[HostEvent],
-    ref_events: &[HostEvent],
-    expand: &dyn Fn(OpResults) -> OpResults,
-    setup: &dyn Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) -> Vec<Divergence> {
-    let sim_options =
-        SimOptions { freeze_time_ns: Some(1000), check_proofs: true, ..Default::default() };
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    if let Ok(decoded) = program.decode() {
-        vm.check_facts(ehdl_ebpf::absint::analyze(&decoded));
-    }
-    let mut sim = PipelineSim::with_options(design, sim_options);
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-    let nops = hw_events.iter().filter(|e| matches!(e, HostEvent::Op(_))).count();
-    // The whole schedule is submitted up front, so the queue must hold
-    // every op; arrival latency and fences still govern when each applies.
-    sim.attach_ctrl(CtrlOptions { queue_depth: ctrl.queue_depth.max(nops), ..ctrl });
-
-    let npackets = hw_events.len() - nops;
-    let mut divs = Vec::new();
-
-    // Pipeline side: feed the schedule in order (packets enqueue, ops
-    // submit — each op's barrier is the sequence number of the next
-    // packet), then let everything drain together.
-    for ev in hw_events {
-        match ev {
-            HostEvent::Packet(p) => {
-                let mut attempts = 0u32;
-                while !sim.enqueue(p.clone()) {
-                    sim.settle(1_000_000);
-                    attempts += 1;
-                    assert!(attempts < 64, "rx queue never drained");
-                }
-            }
-            HostEvent::Op(op) => {
-                if let Err(e) = sim.submit_host_op(op.clone()) {
-                    divs.push(Divergence::HostOp {
-                        id: u64::MAX,
-                        detail: format!("submission rejected: {e}"),
-                    });
-                }
-            }
-        }
-    }
-    sim.settle(50_000_000);
-    let outs = sim.drain();
-    let completions = sim.host_completions();
-
-    // Sequential reference: the *original* schedule, ops applied in place.
-    let mut vm_actions = Vec::with_capacity(npackets);
-    let mut vm_packets = Vec::with_capacity(npackets);
-    let mut vm_ops = Vec::with_capacity(nops);
-    for ev in ref_events {
-        match ev {
-            HostEvent::Packet(p) => {
-                let mut bytes = p.clone();
-                match vm.run(&mut bytes, 0) {
-                    Ok(out) => {
-                        vm_actions.push(out.action);
-                        vm_packets.push(bytes);
-                    }
-                    Err(_) => {
-                        vm_actions.push(XdpAction::Drop);
-                        vm_packets.push(p.clone());
-                    }
-                }
-            }
-            HostEvent::Op(op) => vm_ops.push(apply_host_op_to_store(vm.maps_mut(), op)),
-        }
-    }
-
-    if outs.len() != npackets {
-        divs.push(Divergence::Count { vm: npackets, hw: outs.len() });
-        return divs;
-    }
-    for (i, out) in outs.iter().enumerate() {
-        assert_eq!(out.seq as usize, i, "pipeline must preserve packet order");
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    // Host ops complete in submission order (the channel is a FIFO), so
-    // completion `i` pairs with the i-th submitted op; `expand` maps the
-    // submitted (possibly coalesced) results back onto the reference
-    // schedule's op numbering.
-    if completions.len() != nops {
-        divs.push(Divergence::HostOp {
-            id: u64::MAX,
-            detail: format!("{} of {nops} submitted ops completed", completions.len()),
-        });
-    } else {
-        let hw_ops = expand(completions.into_iter().map(|c| c.result).collect());
-        if hw_ops.len() != vm_ops.len() {
-            divs.push(Divergence::HostOp {
-                id: u64::MAX,
-                detail: format!("{} expanded results for {} ops", hw_ops.len(), vm_ops.len()),
-            });
-        } else {
-            for (i, (hr, vr)) in hw_ops.iter().zip(&vm_ops).enumerate() {
-                if hr != vr {
-                    divs.push(Divergence::HostOp {
-                        id: i as u64,
-                        detail: format!("hw={hr:?} vm={vr:?}"),
-                    });
-                }
-            }
-        }
-    }
-
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
-            continue;
-        }
-        let a = vm.maps().get(def.id).expect("vm map");
-        let b = sim.maps().get(def.id).expect("sim map");
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
-            divs.push(Divergence::Map { map: def.id });
-        }
-    }
-
-    for v in vm.proof_violations() {
-        divs.push(Divergence::Proof { detail: format!("vm: {v}") });
-    }
-    let hw_violations = sim.counters().proof_violations;
-    if hw_violations > 0 {
-        divs.push(Divergence::Proof {
-            detail: format!("pipeline: {hw_violations} unguarded accesses left proven bounds"),
-        });
-    }
-    divs
-}
-
-/// Compile `program` and run [`compare_with_ops`], panicking with a
-/// readable report on divergence.
-pub fn assert_equivalent_ops(
-    program: &Program,
-    options: CompilerOptions,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_with_ops(program, &design, events, setup, ignore_maps, ctrl);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(8).map(|d| d.to_string()).collect();
-        panic!(
-            "pipeline diverges from VM for `{}` under live host ops ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
-    }
-}
-
-/// Compile `program` and run [`compare_with_ops_coalesced`], panicking
-/// with a readable report on divergence.
-pub fn assert_equivalent_ops_coalesced(
-    program: &Program,
-    options: CompilerOptions,
-    events: &[HostEvent],
-    setup: impl Fn(&mut MapStore),
-    ignore_maps: &[u32],
-    ctrl: CtrlOptions,
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_with_ops_coalesced(program, &design, events, setup, ignore_maps, ctrl);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(8).map(|d| d.to_string()).collect();
-        panic!(
-            "coalesced schedule diverges from the sequential oracle for `{}` ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
-    }
-}
-
-/// Result of a fault-injection differential run ([`compare_under_faults`]).
-///
-/// Equivalence is judged only on *non-fault* packets: a protected design
-/// must keep every packet the faults never touched bit-identical to the
-/// sequential reference, while fault-affected packets (silently corrupted,
-/// or sacrificed by the watchdog) are reported but not counted as
-/// divergences.
-#[derive(Debug, Clone)]
-pub struct FaultCompareReport {
-    /// Divergences among packets no fault touched.
-    pub divergences: Vec<Divergence>,
-    /// Map ids whose final contents differ from the reference. Meaningful
-    /// only when no fault reached map state (`affected` empty and
-    /// `map_storage_corrupted` false); otherwise expected to be non-empty.
-    pub map_divergences: Vec<u32>,
-    /// Sequence numbers of packets a fault corrupted or killed.
-    pub affected: Vec<u64>,
-    /// Non-affected packets that never completed (pipeline wedged without
-    /// a watchdog).
-    pub missing: u64,
-    /// Whether map backing storage took an unrecovered upset.
-    pub map_storage_corrupted: bool,
-    /// Fault engine tallies for the run.
-    pub stats: FaultStats,
-    /// Full fault event log (cycle/site/kind/outcome per injection).
-    pub log: Vec<FaultEvent>,
-    /// Simulator counters (fault replays, watchdog resets, ...).
-    pub counters: SimCounters,
-    /// Fraction of cycles the pipeline was not wedged.
-    pub availability: f64,
-}
-
-/// Differential VM-vs-pipeline run with a fault-injection engine attached.
-///
-/// Runs the sequential reference fault-free, runs the pipeline under the
-/// seeded campaign `fault`, and compares per packet — excluding the
-/// packets the engine reports as fault-affected. Outcomes are matched by
-/// sequence number (watchdog recovery can retire packets out of order).
-pub fn compare_under_faults(
-    program: &Program,
-    design: &PipelineDesign,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-    fault: FaultConfig,
-) -> FaultCompareReport {
-    let sim_options = SimOptions { freeze_time_ns: Some(1000), ..Default::default() };
-    let mut vm = Vm::new(program);
-    vm.set_time_ns(1000);
-    let mut sim = PipelineSim::with_options(design, sim_options);
-    setup(vm.maps_mut());
-    setup(sim.maps_mut());
-    sim.attach_faults(fault);
-
-    let mut vm_actions = Vec::with_capacity(packets.len());
-    let mut vm_packets = Vec::with_capacity(packets.len());
-    for p in packets {
-        let mut bytes = p.clone();
-        match vm.run(&mut bytes, 0) {
-            Ok(out) => {
-                vm_actions.push(out.action);
-                vm_packets.push(bytes);
-            }
-            Err(_) => {
-                vm_actions.push(XdpAction::Drop);
-                vm_packets.push(p.clone());
-            }
-        }
-    }
-
-    for p in packets {
-        sim.enqueue(p.clone());
-    }
-    sim.settle(50_000_000);
-    let mut outs = sim.drain();
-    outs.sort_by_key(|o| o.seq);
-    sim.finalize_faults();
-
-    let (affected, map_storage_corrupted, stats, log) = match sim.fault_engine() {
-        Some(e) => {
-            (e.affected_seqs().to_vec(), e.map_storage_corrupted(), *e.stats(), e.log().to_vec())
-        }
-        None => (Vec::new(), false, FaultStats::default(), Vec::new()),
-    };
-
-    let mut divs = Vec::new();
-    let mut missing = 0u64;
-    let mut next = outs.iter().peekable();
-    for seq in 0..packets.len() as u64 {
-        let out = match next.peek() {
-            Some(o) if o.seq == seq => next.next().expect("peeked"),
-            _ => {
-                if affected.binary_search(&seq).is_err() {
-                    missing += 1;
-                }
-                continue;
-            }
-        };
-        if affected.binary_search(&seq).is_ok() {
-            continue;
-        }
-        let i = seq as usize;
-        if out.action != vm_actions[i] {
-            divs.push(Divergence::Action { seq: i, vm: vm_actions[i], hw: out.action });
-            continue;
-        }
-        if out.action.forwards() && out.packet != vm_packets[i] {
-            let at = out
-                .packet
-                .iter()
-                .zip(&vm_packets[i])
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| out.packet.len().min(vm_packets[i].len()));
-            divs.push(Divergence::Packet { seq: i, at });
-        }
-    }
-
-    let mut map_divergences = Vec::new();
-    for def in &program.maps {
-        if ignore_maps.contains(&def.id) {
-            continue;
-        }
-        let (Some(a), Some(b)) = (vm.maps().get(def.id), sim.maps().get(def.id)) else {
-            continue;
-        };
-        let mut ea: Vec<_> = a.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        let mut eb: Vec<_> = b.iter().map(|(_, k, v)| (k.to_vec(), v.to_vec())).collect();
-        ea.sort();
-        eb.sort();
-        if ea != eb {
-            map_divergences.push(def.id);
-        }
-    }
-
-    FaultCompareReport {
-        divergences: divs,
-        map_divergences,
-        affected,
-        missing,
-        map_storage_corrupted,
-        stats,
-        log,
-        counters: *sim.counters(),
-        availability: sim.availability(),
-    }
-}
-
-/// Compile `program` with `options` and differentially test it on
-/// `packets`, panicking with a readable report on divergence.
-pub fn assert_equivalent(program: &Program, options: CompilerOptions, packets: &[Vec<u8>]) {
-    assert_equivalent_with(program, options, packets, |_| {});
-}
-
-/// [`assert_equivalent`] with host-side map setup.
-pub fn assert_equivalent_with(
-    program: &Program,
-    options: CompilerOptions,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-) {
-    assert_equivalent_ignoring(program, options, packets, setup, &[]);
-}
-
-/// [`assert_equivalent_with`] with an allocator-map ignore list.
-pub fn assert_equivalent_ignoring(
-    program: &Program,
-    options: CompilerOptions,
-    packets: &[Vec<u8>],
-    setup: impl Fn(&mut ehdl_ebpf::maps::MapStore),
-    ignore_maps: &[u32],
-) {
-    let design = Compiler::with_options(options)
-        .compile(program)
-        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
-    let divs = compare_ignoring(program, &design, packets, setup, ignore_maps);
-    if !divs.is_empty() {
-        let report: Vec<String> = divs.iter().take(5).map(|d| d.to_string()).collect();
-        panic!(
-            "pipeline diverges from VM for `{}` ({} issues):\n  {}",
-            program.name,
-            divs.len(),
-            report.join("\n  ")
-        );
+        out
     }
 }
 
@@ -1236,8 +902,14 @@ pub fn assert_equivalent_ignoring(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ehdl_core::Compiler;
     use ehdl_ebpf::asm::Asm;
     use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
+
+    fn assert_clean(program: &Program, packets: &[Vec<u8>]) {
+        let design = Compiler::new().compile(program).unwrap();
+        check(&Scenario::new(program, &design, packets)).assert_clean();
+    }
 
     #[test]
     fn branching_program_equivalent() {
@@ -1258,7 +930,7 @@ mod tests {
         let p = Program::from_insns(a.into_insns());
         let mut packets: Vec<Vec<u8>> = (0..32).map(|i| vec![i as u8; 64]).collect();
         packets.push(vec![0; 10]); // short packet exercises the elided check
-        assert_equivalent(&p, CompilerOptions::default(), &packets);
+        assert_clean(&p, &packets);
     }
 
     #[test]
@@ -1280,7 +952,52 @@ mod tests {
                 v
             })
             .collect();
-        assert_equivalent(&p, CompilerOptions::default(), &packets);
+        assert_clean(&p, &packets);
+    }
+
+    /// A program that returns `action` for every packet.
+    fn constant(action: i32) -> Program {
+        let mut a = Asm::new();
+        a.mov64_imm(0, action);
+        a.exit();
+        Program::from_insns(a.into_insns())
+    }
+
+    #[test]
+    fn wrong_exit_action_diverges_under_every_engine() {
+        let reference = constant(3); // XDP_TX
+        let design = Compiler::new().compile(&constant(2)).unwrap(); // XDP_PASS
+        let packets: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 64]).collect();
+        let ctrl = |coalesce| CtrlOps { ops: &[], options: CtrlOptions::default(), coalesce };
+        let engines = [
+            Engine::Pipeline { ctrl: None, faults: None },
+            Engine::Pipeline { ctrl: Some(ctrl(false)), faults: None },
+            Engine::Pipeline { ctrl: Some(ctrl(true)), faults: None },
+            Engine::Pipeline {
+                ctrl: None,
+                faults: Some(FaultConfig { rate: 0.0, ..Default::default() }),
+            },
+            Engine::Sharded { replicas: 2, seed: 1, fabric: SharedMapOptions::default(), ops: &[] },
+            Engine::Failover {
+                replicas: 2,
+                seed: 1,
+                fabric: SharedMapOptions::default(),
+                failures: ReplicaFaultConfig::default(),
+            },
+        ];
+        for engine in engines {
+            let shape = format!("{engine:?}");
+            let report =
+                check(&Scenario { engine, ..Scenario::new(&reference, &design, &packets) });
+            assert!(
+                report.divergences.iter().any(|d| matches!(
+                    d,
+                    Divergence::Action { vm: XdpAction::Tx, hw: XdpAction::Pass, .. }
+                )),
+                "{shape}: wrong verdicts must surface, got {:?}",
+                report.divergences
+            );
+        }
     }
 
     mod live_ops {
@@ -1292,13 +1009,24 @@ mod tests {
             vec![flow, 0, 0, 0]
         }
 
-        fn update(flow: u8, v: u64) -> HostEvent {
-            HostEvent::Op(HostOp::Update {
+        fn update(flow: u8, v: u64) -> HostOp {
+            HostOp::Update {
                 map: 0,
                 key: key(flow),
                 value: v.to_le_bytes().to_vec(),
                 flags: UpdateFlags::Any,
+            }
+        }
+
+        fn assert_clean_ops(packets: &[Vec<u8>], ops: &[(usize, HostOp)], options: CtrlOptions) {
+            let program = rmw_program();
+            let design = Compiler::new().compile(&program).unwrap();
+            let ctrl = CtrlOps { ops, options, coalesce: false };
+            check(&Scenario {
+                engine: Engine::Pipeline { ctrl: Some(ctrl), faults: None },
+                ..Scenario::new(&program, &design, packets)
             })
+            .assert_clean();
         }
 
         #[test]
@@ -1306,72 +1034,52 @@ mod tests {
             // Ops hammer the same hot key the packets are incrementing,
             // at several barrier positions — including back-to-back with
             // same-flow packets so writes land inside open RAW windows.
-            let program = rmw_program();
-            let mut events = Vec::new();
+            let mut packets = Vec::new();
+            let mut ops = Vec::new();
             for round in 0..4u64 {
                 for _ in 0..3 {
-                    events.push(HostEvent::Packet(pkt(1)));
+                    packets.push(pkt(1));
                 }
-                events.push(update(1, round * 1000));
-                events.push(HostEvent::Op(HostOp::Lookup { map: 0, key: key(1) }));
-                events.push(HostEvent::Packet(pkt(1)));
-                events.push(HostEvent::Op(HostOp::Delete { map: 0, key: key(2) }));
-                events.push(HostEvent::Packet(pkt(2)));
-                events.push(HostEvent::Op(HostOp::Dump { map: 0 }));
+                ops.push((packets.len(), update(1, round * 1000)));
+                ops.push((packets.len(), HostOp::Lookup { map: 0, key: key(1) }));
+                packets.push(pkt(1));
+                ops.push((packets.len(), HostOp::Delete { map: 0, key: key(2) }));
+                packets.push(pkt(2));
+                ops.push((packets.len(), HostOp::Dump { map: 0 }));
             }
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions { latency_cycles: 1, queue_depth: 64 },
-            );
+            assert_clean_ops(&packets, &ops, CtrlOptions { latency_cycles: 1, queue_depth: 64 });
         }
 
         #[test]
         fn op_results_cover_errors_and_misses() {
-            let program = rmw_program();
-            let events = vec![
-                HostEvent::Op(HostOp::Lookup { map: 0, key: key(9) }), // miss
-                HostEvent::Op(HostOp::Delete { map: 0, key: key(9) }), // NoSuchKey
-                HostEvent::Packet(pkt(9)),
-                HostEvent::Op(HostOp::Update {
-                    map: 0,
-                    key: key(9),
-                    value: 7u64.to_le_bytes().to_vec(),
-                    flags: UpdateFlags::NoExist, // KeyExists
-                }),
-                HostEvent::Op(HostOp::Lookup { map: 0, key: key(9) }), // hit
+            let ops = [
+                (0, HostOp::Lookup { map: 0, key: key(9) }), // miss
+                (0, HostOp::Delete { map: 0, key: key(9) }), // NoSuchKey
+                (
+                    1,
+                    HostOp::Update {
+                        map: 0,
+                        key: key(9),
+                        value: 7u64.to_le_bytes().to_vec(),
+                        flags: UpdateFlags::NoExist, // KeyExists
+                    },
+                ),
+                (1, HostOp::Lookup { map: 0, key: key(9) }), // hit
             ];
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions::default(),
-            );
+            assert_clean_ops(&[pkt(9)], &ops, CtrlOptions::default());
         }
 
         #[test]
         fn high_latency_channel_still_barrier_ordered() {
-            let program = rmw_program();
-            let mut events = Vec::new();
+            let mut packets = Vec::new();
+            let mut ops = Vec::new();
             for i in 0..12u8 {
-                events.push(HostEvent::Packet(pkt(i % 2)));
+                packets.push(pkt(i % 2));
                 if i % 3 == 0 {
-                    events.push(update(i % 2, u64::from(i) * 11));
+                    ops.push((packets.len(), update(i % 2, u64::from(i) * 11)));
                 }
             }
-            assert_equivalent_ops(
-                &program,
-                CompilerOptions::default(),
-                &events,
-                |_| {},
-                &[],
-                CtrlOptions { latency_cycles: 400, queue_depth: 8 },
-            );
+            assert_clean_ops(&packets, &ops, CtrlOptions { latency_cycles: 400, queue_depth: 8 });
         }
 
         #[test]
@@ -1380,7 +1088,7 @@ mod tests {
             // op on a key only the *setup* of one side has must diverge.
             let program = rmw_program();
             let design = Compiler::new().compile(&program).unwrap();
-            let events = [HostEvent::Op(HostOp::Lookup { map: 0, key: key(3) })];
+            let op = HostOp::Lookup { map: 0, key: key(3) };
             // Divergence is manufactured by mutating the sim store only —
             // run compare manually with asymmetric setup.
             let mut vm = Vm::new(&program);
@@ -1395,17 +1103,29 @@ mod tests {
                 .update(&key(3), &5u64.to_le_bytes(), UpdateFlags::Any)
                 .unwrap();
             sim.attach_ctrl(CtrlOptions::default());
-            let HostEvent::Op(op) = &events[0] else { unreachable!() };
             sim.submit_host_op(op.clone()).unwrap();
             sim.settle(10_000);
             let hw = sim.host_completions()[0].result.clone();
-            let vmr = apply_host_op_to_store(vm.maps_mut(), op);
+            let vmr = apply_host_op_to_store(vm.maps_mut(), &op);
             assert_ne!(hw, vmr, "asymmetric state must surface in op results");
+            assert_eq!(compare_ops(&[vmr], &[hw], None).len(), 1);
+        }
+
+        #[test]
+        fn truncated_completions_are_a_host_op_divergence() {
+            // A missing completion must not pass as a shorter zip.
+            let done = Ok(HostOpResult::Updated);
+            let divs = compare_ops(&[done.clone(), done.clone()], &[done], None);
+            assert!(
+                matches!(divs.as_slice(), [Divergence::HostOp { id: u64::MAX, .. }]),
+                "{divs:?}"
+            );
         }
     }
 
     mod sharded {
         use super::*;
+        use crate::fault::{ReplicaFault, ReplicaFaultKind};
         use crate::shared::Arbitration;
         use ehdl_ebpf::maps::UpdateFlags;
         use ehdl_net::{FiveTuple, IPPROTO_UDP};
@@ -1440,6 +1160,10 @@ mod tests {
             out
         }
 
+        fn sharded(replicas: usize, seed: u64, fabric: SharedMapOptions) -> Engine<'static> {
+            Engine::Sharded { replicas, seed, fabric, ops: &[] }
+        }
+
         #[test]
         fn firewall_bit_equivalent_across_replicas_and_seeds() {
             let program = simple_firewall::program();
@@ -1447,17 +1171,11 @@ mod tests {
             let packets = bidirectional_trace(48, 2);
             for replicas in [1, 2, 4] {
                 for seed in [1, 7] {
-                    assert_equivalent_sharded(
-                        &program,
-                        &design,
-                        replicas,
-                        seed,
-                        &packets,
-                        &[],
-                        |_| {},
-                        &[],
-                        SharedMapOptions::default(),
-                    );
+                    check(&Scenario {
+                        engine: sharded(replicas, seed, SharedMapOptions::default()),
+                        ..Scenario::new(&program, &design, &packets)
+                    })
+                    .assert_clean();
                 }
             }
         }
@@ -1489,20 +1207,15 @@ mod tests {
                     },
                 ),
             ];
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                9,
-                &packets,
-                &ops,
-                |_| {},
-                &[],
-                SharedMapOptions {
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
+            let fabric = SharedMapOptions {
+                shared_maps: vec![simple_firewall::STATS_MAP],
+                ..Default::default()
+            };
+            check(&Scenario {
+                engine: Engine::Sharded { replicas: 4, seed: 9, fabric, ops: &ops },
+                ..Scenario::new(&program, &design, &packets)
+            })
+            .assert_clean();
         }
 
         #[test]
@@ -1513,25 +1226,20 @@ mod tests {
             // Worst-case timing pressure: one bank, multi-cycle latency,
             // fixed priority (replica 3 starves), read caches on. Timing
             // may crawl; results may not move.
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                5,
-                &packets,
-                &[],
-                |_| {},
-                &[],
-                SharedMapOptions {
-                    banks: 1,
-                    latency: 4,
-                    arbitration: Arbitration::FixedPriority,
-                    read_cache: true,
-                    cache_lines: 64,
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
+            let fabric = SharedMapOptions {
+                banks: 1,
+                latency: 4,
+                arbitration: Arbitration::FixedPriority,
+                read_cache: true,
+                cache_lines: 64,
+                shared_maps: vec![simple_firewall::STATS_MAP],
+                ..Default::default()
+            };
+            check(&Scenario {
+                engine: sharded(4, 5, fabric),
+                ..Scenario::new(&program, &design, &packets)
+            })
+            .assert_clean();
         }
 
         #[test]
@@ -1558,67 +1266,56 @@ mod tests {
                     conn.update(&flow(i).to_key(), &val, UpdateFlags::Any).expect("bind");
                 }
             };
-            assert_equivalent_sharded(
-                &program,
-                &design,
-                4,
-                11,
-                &packets,
-                &[],
-                setup,
-                &[],
-                SharedMapOptions::default(),
-            );
+            check(&Scenario {
+                setup: &setup,
+                engine: sharded(4, 11, SharedMapOptions::default()),
+                ..Scenario::new(&program, &design, &packets)
+            })
+            .assert_clean();
         }
 
         #[test]
         fn firewall_survivors_bit_equivalent_under_replica_kill() {
-            use crate::fault::{ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind};
             let program = simple_firewall::program();
             let design = Compiler::new().compile(&program).unwrap();
             let packets = bidirectional_trace(48, 3);
-            let diff = compare_sharded_failover(
-                &program,
-                &design,
-                4,
-                7,
-                &packets,
-                ReplicaFaultConfig {
-                    schedule: vec![ReplicaFault {
-                        at: 80,
-                        replica: 2,
-                        kind: ReplicaFaultKind::Kill,
-                    }],
-                    watchdog_budget: 64,
-                    reset_cycles: 0,
+            let report = check(&Scenario {
+                merges: &[(simple_firewall::SESSIONS_MAP, MergeStrategy::Union)],
+                engine: Engine::Failover {
+                    replicas: 4,
+                    seed: 7,
+                    fabric: SharedMapOptions {
+                        shared_maps: vec![simple_firewall::STATS_MAP],
+                        ..Default::default()
+                    },
+                    failures: ReplicaFaultConfig {
+                        schedule: vec![ReplicaFault {
+                            at: 80,
+                            replica: 2,
+                            kind: ReplicaFaultKind::Kill,
+                        }],
+                        watchdog_budget: 64,
+                        reset_cycles: 0,
+                    },
                 },
-                |_| {},
-                &[(simple_firewall::SESSIONS_MAP, MergeStrategy::Union)],
-                SharedMapOptions {
-                    shared_maps: vec![simple_firewall::STATS_MAP],
-                    ..Default::default()
-                },
-            );
-            assert!(
-                diff.divergences.is_empty(),
-                "fail-over run violated an invariant:\n{}",
-                diff.divergences.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
-            );
-            let f = diff.report.failover;
+                ..Scenario::new(&program, &design, &packets)
+            });
+            report.assert_clean();
+            let shards = report.shards.unwrap();
+            let f = shards.failover;
             assert_eq!(f.detected, 1, "the kill must be caught");
             assert!(
-                !diff.report.affected.is_empty(),
+                !shards.affected.is_empty(),
                 "a mid-trace kill on a uniform workload must affect some flows"
             );
             assert!(
-                f.availability(4, diff.report.cycles) >= 0.75 - 0.05,
+                f.availability(4, shards.cycles) >= 0.75 - 0.05,
                 "availability below the (N-1)/N - 5% floor"
             );
         }
 
         #[test]
         fn failover_harness_flags_fabricated_silent_loss() {
-            use crate::fault::{ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind};
             // Negative control: a hang that never fires keeps all
             // replicas healthy, so the harness must find zero losses and
             // zero detections — then a fabricated undetected injection
@@ -1626,27 +1323,25 @@ mod tests {
             let program = simple_firewall::program();
             let design = Compiler::new().compile(&program).unwrap();
             let packets = bidirectional_trace(16, 1);
-            let diff = compare_sharded_failover(
-                &program,
-                &design,
-                2,
-                3,
-                &packets,
-                ReplicaFaultConfig {
-                    schedule: vec![ReplicaFault {
-                        at: 10_000_000, // far past the trace
-                        replica: 0,
-                        kind: ReplicaFaultKind::Hang,
-                    }],
-                    watchdog_budget: 32,
-                    reset_cycles: 64,
+            let report = check(&Scenario {
+                engine: Engine::Failover {
+                    replicas: 2,
+                    seed: 3,
+                    fabric: SharedMapOptions::default(),
+                    failures: ReplicaFaultConfig {
+                        schedule: vec![ReplicaFault {
+                            at: 10_000_000, // far past the trace
+                            replica: 0,
+                            kind: ReplicaFaultKind::Hang,
+                        }],
+                        watchdog_budget: 32,
+                        reset_cycles: 64,
+                    },
                 },
-                |_| {},
-                &[],
-                SharedMapOptions::default(),
-            );
-            assert!(diff.divergences.is_empty());
-            assert_eq!(diff.report.failover.injected, 0, "the fault never fired");
+                ..Scenario::new(&program, &design, &packets)
+            });
+            report.assert_clean();
+            assert_eq!(report.shards.unwrap().failover.injected, 0, "the fault never fired");
             let loss = Divergence::Loss { detail: "packet 3 lost outside the affected set".into() };
             assert!(loss.to_string().contains("loss:"), "Loss divergences render distinctly");
         }

@@ -47,11 +47,7 @@ pub use ctrl::{
     crc32, decode_frame, encode_frame, CtrlError, CtrlLossConfig, CtrlOptions, CtrlStats,
     FrameError, HostCompletion, HostOp, HostOpResult, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
 };
-pub use diff::{
-    assert_equivalent_ops, assert_equivalent_ops_coalesced, compare_sharded,
-    compare_sharded_failover, compare_with_ops, compare_with_ops_coalesced, Divergence,
-    FailoverDiff, HostEvent, MergeStrategy,
-};
+pub use diff::{check, CtrlOps, Divergence, Engine, MergeStrategy, Report, Scenario};
 pub use fault::{
     FaultConfig, FaultEngine, FaultEvent, FaultKind, FaultOutcome, FaultSite, FaultStats,
     ReplicaFault, ReplicaFaultConfig, ReplicaFaultKind, ReplicaFaultStats,

@@ -431,7 +431,7 @@ pub fn fabric_from_plan(plan: &ehdl_core::shardcheck::ShardPlan) -> SharedMapOpt
 
 /// Derive the per-map merge strategies a design's verified
 /// [`ShardPlan`](ehdl_core::shardcheck::ShardPlan) proved sound, in the
-/// `(map, strategy)` form `diff::compare_sharded` consumes.
+/// `(map, strategy)` form [`crate::diff::Scenario::merges`] takes.
 pub fn merges_from_plan(
     plan: &ehdl_core::shardcheck::ShardPlan,
 ) -> Vec<(u32, crate::diff::MergeStrategy)> {

@@ -1,7 +1,7 @@
 //! Cross-validation of the static sharding-soundness pass (`ehdl-core::
 //! shardcheck`) against the dynamic checkers: every verdict the analysis
 //! emits — private/shared placement, merge soundness, exactness, race —
-//! must agree with what `diff::compare_sharded` (which includes the
+//! must agree with what `diff::check` on sharded replicas (which includes the
 //! per-key linearizability replay) observes on real traffic.
 
 use ehdl_core::shardcheck::{MapClass, MergePolicy, Placement, ShardError};
@@ -12,8 +12,8 @@ use ehdl_ebpf::maps::{MapDef, MapKind, MapStore};
 use ehdl_ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl_ebpf::Program;
 use ehdl_hwsim::{
-    compare_sharded, fabric_from_plan, merges_from_plan, Divergence, ShardedNic, SharedMapOptions,
-    SimOptions,
+    check, fabric_from_plan, merges_from_plan, Divergence, Engine, Scenario, ShardedNic,
+    SharedMapOptions, SimOptions,
 };
 use ehdl_net::{FiveTuple, IPPROTO_TCP, IPPROTO_UDP};
 use ehdl_programs::{dnat, leaky_bucket, simple_firewall, suricata, toy_counter, App};
@@ -21,6 +21,11 @@ use ehdl_traffic::{build_flow_packet, FlowSet, Popularity, Workload};
 
 fn compile(p: &Program) -> ehdl_core::PipelineDesign {
     Compiler::new().compile(p).expect("app compiles")
+}
+
+/// `replicas` fault-free sharded replicas with no host ops.
+fn sharded(replicas: usize, seed: u64, fabric: SharedMapOptions) -> Engine<'static> {
+    Engine::Sharded { replicas, seed, fabric, ops: &[] }
 }
 
 fn flow(i: usize, proto: u8) -> FiveTuple {
@@ -231,18 +236,13 @@ fn verdicts_agree_with_dynamic_checkers() {
                         setup_app(*a, maps);
                     }
                 };
-                let div = compare_sharded(
-                    program,
-                    &design,
-                    replicas,
-                    7,
-                    packets,
-                    &[],
-                    setup,
-                    &merges,
-                    fabric.clone(),
-                    SimOptions::default(),
-                );
+                let div = check(&Scenario {
+                    setup: &setup,
+                    merges: &merges,
+                    engine: sharded(replicas, 7, fabric.clone()),
+                    ..Scenario::new(program, &design, packets)
+                })
+                .divergences;
                 // Exact maps must be divergence-free; beyond that no
                 // action/count/coherence/proof divergence anywhere
                 // (placement + serialization are sound).
@@ -300,19 +300,35 @@ fn dnat_prebound_runs_clean_under_plan_config() {
             conn.update(&flow(i, IPPROTO_UDP).to_key(), &val, UpdateFlags::Any).expect("bind");
         }
     };
-    let div = compare_sharded(
-        &program,
-        &design,
-        4,
-        11,
-        &packets,
-        &[],
-        setup,
-        &merges_from_plan(&design.shard),
-        fabric_from_plan(&design.shard),
-        SimOptions::default(),
-    );
+    let merges = merges_from_plan(&design.shard);
+    let div = check(&Scenario {
+        setup: &setup,
+        merges: &merges,
+        engine: sharded(4, 11, fabric_from_plan(&design.shard)),
+        ..Scenario::new(&program, &design, &packets)
+    })
+    .divergences;
     assert!(div.is_empty(), "prebound DNAT under the derived plan: {div:?}");
+}
+
+/// The harness owns the clock: both engines read one frozen time even
+/// when the caller passes the default (live-clock) options. The leaky
+/// bucket refills by elapsed time, so on a long trace a replica clock
+/// that followed its own cycle counter would split from the reference in
+/// verdicts and bucket state.
+#[test]
+fn leaky_bucket_clean_on_default_sim_options() {
+    let program = leaky_bucket::program();
+    let design = compile(&program);
+    let packets = bidi_trace(8, 40, IPPROTO_UDP);
+    let merges = merges_from_plan(&design.shard);
+    check(&Scenario {
+        merges: &merges,
+        options: SimOptions::default(),
+        engine: sharded(2, 7, fabric_from_plan(&design.shard)),
+        ..Scenario::new(&program, &design, &packets)
+    })
+    .assert_clean();
 }
 
 /// A hand-written unfenced RMW (lookup → load → store on one hot key):
@@ -354,36 +370,22 @@ fn static_race_agrees_with_dynamic_divergence() {
     // per-access serialization) and the lost updates materialize as a
     // map divergence against the sequential reference.
     let packets = bidi_trace(64, 2, IPPROTO_UDP);
-    let div = compare_sharded(
-        &program,
-        &design,
-        2,
-        7,
-        &packets,
-        &[],
-        |_| {},
-        &[],
-        SharedMapOptions { shared_maps: vec![0], ..Default::default() },
-        SimOptions::default(),
-    );
+    let div = check(&Scenario {
+        engine: sharded(2, 7, SharedMapOptions { shared_maps: vec![0], ..Default::default() }),
+        ..Scenario::new(&program, &design, &packets)
+    })
+    .divergences;
     assert!(
         div.iter().any(|d| matches!(d, Divergence::Map { map: 0 })),
         "dynamic run must lose updates on the contended counter, got {div:?}"
     );
     // Single replica is sound statically — and clean dynamically.
     assert!(ShardedNic::from_shard_plan(&design, 1, 7, SimOptions::default()).is_ok());
-    let div = compare_sharded(
-        &program,
-        &design,
-        1,
-        7,
-        &packets,
-        &[],
-        |_| {},
-        &[],
-        SharedMapOptions::default(),
-        SimOptions::default(),
-    );
+    let div = check(&Scenario {
+        engine: sharded(1, 7, SharedMapOptions::default()),
+        ..Scenario::new(&program, &design, &packets)
+    })
+    .divergences;
     assert!(div.is_empty(), "single replica must be exact: {div:?}");
 }
 
@@ -591,7 +593,7 @@ fn emit_update(a: &mut Asm, id: u32, base: i16) {
 }
 
 /// Seeded random-program campaign: for every generated program, a sound
-/// plan's exactness verdicts must agree with `compare_sharded` (same
+/// plan's exactness verdicts must agree with the sharded `check` (same
 /// one-way contract as the app zoo), and an unsound verdict must name
 /// exactly the opaque-RMW maps.
 #[test]
@@ -623,18 +625,13 @@ fn random_program_verdicts_agree() {
                     unsound_plans += 1;
                 }
                 Ok(()) => {
-                    let div = compare_sharded(
-                        &program,
-                        &design,
-                        replicas,
-                        7,
-                        &packets,
-                        &[],
-                        |_| {},
-                        &merges_from_plan(&plan),
-                        fabric_from_plan(&plan),
-                        SimOptions::default(),
-                    );
+                    let merges = merges_from_plan(&plan);
+                    let div = check(&Scenario {
+                        merges: &merges,
+                        engine: sharded(replicas, 7, fabric_from_plan(&plan)),
+                        ..Scenario::new(&program, &design, &packets)
+                    })
+                    .divergences;
                     for d in &div {
                         match d {
                             Divergence::Map { map } => {

@@ -4,8 +4,10 @@
 //! hazard windows (back-to-back same-flow packets with a 1-cycle
 //! control channel).
 
-use ehdl_core::CompilerOptions;
-use ehdl_hwsim::{CtrlOptions, HostEvent};
+use ehdl_core::Compiler;
+use ehdl_ebpf::maps::MapStore;
+use ehdl_ebpf::Program;
+use ehdl_hwsim::{check, CtrlOps, CtrlOptions, Engine, HostOp, MergeStrategy, Scenario};
 use ehdl_net::FiveTuple;
 use ehdl_programs::{dnat, simple_firewall, suricata};
 use ehdl_runtime::Runtime;
@@ -25,14 +27,41 @@ fn key_pool(flows: &FlowSet, take: usize) -> Vec<Vec<u8>> {
     flows.flows().iter().take(take).map(|f| f.to_key().to_vec()).collect()
 }
 
-fn to_events(schedule: Vec<ScheduleItem>) -> Vec<HostEvent> {
-    schedule
-        .into_iter()
-        .map(|item| match item {
-            ScheduleItem::Packet(p) => HostEvent::Packet(p),
-            ScheduleItem::Op(op) => HostEvent::Op(ehdl_runtime::to_host_op(&op)),
-        })
-        .collect()
+/// A packet trace plus `(at, op)` host ops: each op is submitted once
+/// `at` packets have arrived.
+type Schedule = (Vec<Vec<u8>>, Vec<(usize, HostOp)>);
+
+fn to_schedule(items: Vec<ScheduleItem>) -> Schedule {
+    let (mut packets, mut ops) = (Vec::new(), Vec::new());
+    for item in items {
+        match item {
+            ScheduleItem::Packet(p) => packets.push(p),
+            ScheduleItem::Op(op) => ops.push((packets.len(), ehdl_runtime::to_host_op(&op))),
+        }
+    }
+    (packets, ops)
+}
+
+/// Compile `program` and check it against the sequential reference while
+/// the schedule's ops run live over a control channel (their coalesced
+/// rewrite if `coalesce`), panicking on any divergence.
+fn assert_clean_live(
+    program: &Program,
+    (packets, ops): &Schedule,
+    setup: &dyn Fn(&mut MapStore),
+    merges: &[(u32, MergeStrategy)],
+    options: CtrlOptions,
+    coalesce: bool,
+) {
+    let design = Compiler::new().compile(program).expect("app compiles");
+    let ctrl = CtrlOps { ops, options, coalesce };
+    check(&Scenario {
+        setup,
+        merges,
+        engine: Engine::Pipeline { ctrl: Some(ctrl), faults: None },
+        ..Scenario::new(program, &design, packets)
+    })
+    .assert_clean();
 }
 
 #[test]
@@ -50,14 +79,14 @@ fn firewall_equivalent_under_live_ops() {
         Popularity::Hot { p_hot: 0.7 },
         23,
     );
-    let events = to_events(interleave_ops(packets, &mut gen, 0.2, 24));
-    ehdl_hwsim::assert_equivalent_ops(
+    let schedule = to_schedule(interleave_ops(packets, &mut gen, 0.2, 24));
+    assert_clean_live(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
+        &schedule,
+        &|_| {},
         &[],
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
     );
 }
 
@@ -75,14 +104,14 @@ fn firewall_equivalent_with_slow_channel() {
         Popularity::Uniform,
         33,
     );
-    let events = to_events(interleave_ops(packets, &mut gen, 0.1, 34));
-    ehdl_hwsim::assert_equivalent_ops(
+    let schedule = to_schedule(interleave_ops(packets, &mut gen, 0.1, 34));
+    assert_clean_live(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
+        &schedule,
+        &|_| {},
         &[],
         CtrlOptions { latency_cycles: 300, queue_depth: 256 },
+        false,
     );
 }
 
@@ -102,23 +131,22 @@ fn dnat_equivalent_under_live_ops() {
         Popularity::Hot { p_hot: 0.7 },
         43,
     );
-    let events = to_events(interleave_ops(packets, &mut gen, 0.2, 44));
-    let flows_for_setup = flows.clone();
-    ehdl_hwsim::assert_equivalent_ops(
+    let schedule = to_schedule(interleave_ops(packets, &mut gen, 0.2, 44));
+    assert_clean_live(
         &dnat::program(),
-        CompilerOptions::default(),
-        &events,
-        move |maps| {
+        &schedule,
+        &|maps| {
             let conn = maps.get_mut(dnat::CONN_MAP).expect("conn map");
-            for (i, f) in flows_for_setup.flows().iter().enumerate() {
+            for (i, f) in flows.flows().iter().enumerate() {
                 let mut v = [0u8; 8];
                 v[..4].copy_from_slice(&dnat::NAT_ADDR);
                 v[4..6].copy_from_slice(&(dnat::PORT_BASE + i as u16).to_be_bytes());
                 conn.update(&f.to_key(), &v, Default::default()).expect("binding install");
             }
         },
-        &[dnat::PORT_ALLOC_MAP],
+        &[(dnat::PORT_ALLOC_MAP, MergeStrategy::Ignore)],
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
     );
 }
 
@@ -136,19 +164,18 @@ fn suricata_equivalent_under_live_ops() {
         Popularity::Hot { p_hot: 0.7 },
         53,
     );
-    let events = to_events(interleave_ops(packets, &mut gen, 0.2, 54));
-    let flows_for_setup = flows.clone();
-    ehdl_hwsim::assert_equivalent_ops(
+    let schedule = to_schedule(interleave_ops(packets, &mut gen, 0.2, 54));
+    assert_clean_live(
         &suricata::program(),
-        CompilerOptions::default(),
-        &events,
-        move |maps| {
-            for f in flows_for_setup.flows().iter().take(24) {
+        &schedule,
+        &|maps| {
+            for f in flows.flows().iter().take(24) {
                 suricata::install_rule(maps, f);
             }
         },
         &[],
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        false,
     );
 }
 
@@ -214,14 +241,14 @@ fn firewall_coalesced_schedule_matches_sequential_oracle() {
         Popularity::Hot { p_hot: 0.8 },
         73,
     );
-    let events = to_events(interleave_ops(packets, &mut gen, 0.5, 74));
-    ehdl_hwsim::assert_equivalent_ops_coalesced(
+    let schedule = to_schedule(interleave_ops(packets, &mut gen, 0.5, 74));
+    assert_clean_live(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
+        &schedule,
+        &|_| {},
         &[],
         CtrlOptions { latency_cycles: 1, queue_depth: 256 },
+        true,
     );
 }
 
@@ -231,53 +258,40 @@ fn coalesced_trains_actually_collapse_and_stay_equivalent() {
     // repeated lookups between packet bursts. The rewrite must shrink the
     // schedule (this is what the reactor ships to the device) and the
     // differential must still be clean.
-    use ehdl_hwsim::{coalesce_ops, HostOp, MapShape};
+    use ehdl_hwsim::{coalesce_ops, MapShape};
 
     let flows = FlowSet::udp(8, 81);
-    let pkts = packets_for(&flows, 60, Popularity::Uniform, 82);
+    let packets = packets_for(&flows, 60, Popularity::Uniform, 82);
     let keys = key_pool(&flows, 4);
-    let mut events = Vec::new();
-    let mut train = Vec::new();
-    for (i, p) in pkts.into_iter().enumerate() {
-        if i % 3 == 0 {
-            for r in 0..4u64 {
-                train.push(HostOp::Update {
-                    map: simple_firewall::SESSIONS_MAP,
-                    key: keys[i / 3 % keys.len()].clone(),
-                    value: (i as u64 * 10 + r).to_le_bytes().to_vec(),
-                    flags: Default::default(),
-                });
-            }
-            for r in 0..4usize {
-                let k = keys[(i / 3 + r) % keys.len()].clone();
-                train.push(HostOp::Lookup { map: simple_firewall::SESSIONS_MAP, key: k });
-            }
-            for op in train.drain(..) {
-                events.push(HostEvent::Op(op));
-            }
+    let mut ops = Vec::new();
+    for i in (0..packets.len()).step_by(3) {
+        for r in 0..4u64 {
+            let op = HostOp::Update {
+                map: simple_firewall::SESSIONS_MAP,
+                key: keys[i / 3 % keys.len()].clone(),
+                value: (i as u64 * 10 + r).to_le_bytes().to_vec(),
+                flags: Default::default(),
+            };
+            ops.push((i, op));
         }
-        events.push(HostEvent::Packet(p));
+        for r in 0..4usize {
+            let k = keys[(i / 3 + r) % keys.len()].clone();
+            ops.push((i, HostOp::Lookup { map: simple_firewall::SESSIONS_MAP, key: k }));
+        }
     }
 
     // The rewrite itself must buy something on this shape.
-    let ops: Vec<HostOp> = events
-        .iter()
-        .filter_map(|e| match e {
-            HostEvent::Op(op) => Some(op.clone()),
-            HostEvent::Packet(_) => None,
-        })
-        .take(8) // the first train
-        .collect();
-    let (_, stats) = coalesce_ops(&ops, |_| Some(MapShape { key_size: 13, value_size: 8 }));
+    let first_train: Vec<HostOp> = ops.iter().take(8).map(|(_, op)| op.clone()).collect();
+    let (_, stats) = coalesce_ops(&first_train, |_| Some(MapShape { key_size: 13, value_size: 8 }));
     assert!(stats.ops_out < stats.ops_in, "hot-key train must coalesce: {stats:?}");
     assert!(stats.updates_collapsed > 0 || stats.lookups_shared > 0);
 
-    ehdl_hwsim::assert_equivalent_ops_coalesced(
+    assert_clean_live(
         &simple_firewall::program(),
-        CompilerOptions::default(),
-        &events,
-        |_| {},
+        &(packets, ops),
+        &|_| {},
         &[],
         CtrlOptions { latency_cycles: 16, queue_depth: 256 },
+        true,
     );
 }

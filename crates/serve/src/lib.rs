@@ -14,8 +14,8 @@
 //! * op **coalescing** — adjacent same-key updates collapse to the last
 //!   write, compatible lookup runs share one dump frame; acks are
 //!   reconstructed per original op, and the coalesced schedule is pinned
-//!   bit-equivalent to the sequential oracle by
-//!   [`ehdl_hwsim::assert_equivalent_ops_coalesced`];
+//!   bit-equivalent to the sequential oracle by [`ehdl_hwsim::check`]
+//!   with [`ehdl_hwsim::CtrlOps::coalesce`] set;
 //! * [`SloTracker`] — continuous request-grained SLO accounting: shared
 //!   log2-bucket latency histograms for packets and ops (p50/p99/p999),
 //!   availability, downtime, error-budget burn — exported through

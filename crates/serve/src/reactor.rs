@@ -19,8 +19,8 @@
 //!    gets its own [`Ack`], reconstructed from the carrier results by
 //!    [`ehdl_hwsim::expand_results`]. The schedule the device sees is
 //!    bit-equivalent to the uncoalesced one — pinned by the extended
-//!    differential harness
-//!    ([`ehdl_hwsim::assert_equivalent_ops_coalesced`]).
+//!    differential harness ([`ehdl_hwsim::check`] with
+//!    [`ehdl_hwsim::CtrlOps::coalesce`] set).
 //! 3. **Step** the cycle-level simulator.
 //! 4. **Harvest** — match device completions back to batches, expand
 //!    coalesced answers, emit per-client acks, and feed the SLO

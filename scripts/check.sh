@@ -62,6 +62,10 @@
 #     unsound configs;
 #   - classification precision drops below the recording.
 #
+# The flush-cost sweep and the fault campaign record only simulated
+# fields, so each fails unless it reproduces BENCH_flush_opt.json /
+# BENCH_fault_campaign.json byte for byte.
+#
 # Re-record an intentional change with:
 #
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench sim_speed
@@ -69,6 +73,8 @@
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench chaos
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench shardcheck
 #   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench slo
+#   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench flush_opt
+#   EHDL_WRITE_BENCH=1 cargo bench -p ehdl-bench --bench fault_campaign
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -116,7 +122,7 @@ echo "== scale-out gate (RSS sharding x banked shared maps) =="
 EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench scale_out
 
 echo "== flush-cost sweep (partial flushes vs baseline) =="
-cargo bench -p ehdl-bench --bench flush_opt
+EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench flush_opt
 
 echo "== control plane (op latency, swap downtime, telemetry <1%) =="
 EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench runtime_ops
@@ -128,7 +134,7 @@ echo "== loader/decoder/verifier fuzz (11k seeded cases) =="
 cargo test -p ehdl-ebpf --test fuzz_loader -q
 
 echo "== fault campaign (protection coverage + watchdog availability) =="
-cargo bench -p ehdl-bench --bench fault_campaign
+EHDL_CHECK_BENCH=1 cargo bench -p ehdl-bench --bench fault_campaign
 
 echo "== control-channel fuzz (codec + mailbox overflow, seeded) =="
 cargo test -p ehdl-hwsim --test fuzz_ctrl -q

@@ -4,12 +4,28 @@
 //! and write buffers do their work.
 
 use ehdl::core::{Compiler, CompilerOptions};
+use ehdl::ebpf::maps::MapStore;
 use ehdl::ebpf::vm::XdpAction;
-use ehdl::hwsim::diff::{assert_equivalent_with, compare_with};
+use ehdl::ebpf::Program;
+use ehdl::hwsim::diff::{check, Scenario};
 use ehdl::hwsim::{PipelineSim, SimOptions};
 use ehdl::net::{FiveTuple, IPPROTO_UDP};
 use ehdl::programs::{dnat, leaky_bucket, router, simple_firewall, suricata, toy_counter, tunnel};
 use ehdl::traffic::{build_flow_packet, FlowSet, Popularity, Workload};
+
+/// Compile `program` with `options` and check it on `packets` after
+/// `setup`, panicking on any divergence from the reference VM.
+fn assert_clean(
+    program: &Program,
+    options: CompilerOptions,
+    packets: &[Vec<u8>],
+    setup: impl Fn(&mut MapStore),
+) {
+    let design = Compiler::with_options(options)
+        .compile(program)
+        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
+    check(&Scenario { setup: &setup, ..Scenario::new(program, &design, packets) }).assert_clean();
+}
 
 fn mixed_traffic(n: usize, seed: u64) -> Vec<Vec<u8>> {
     // Mostly UDP flows, plus a sprinkle of short/odd packets.
@@ -25,7 +41,7 @@ fn mixed_traffic(n: usize, seed: u64) -> Vec<Vec<u8>> {
 
 #[test]
 fn toy_counter_equivalent() {
-    assert_equivalent_with(
+    assert_clean(
         &toy_counter::program(),
         CompilerOptions::default(),
         &mixed_traffic(200, 11),
@@ -49,18 +65,13 @@ fn firewall_equivalent_including_same_flow_bursts() {
     for _ in 0..24 {
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    assert_equivalent_with(
-        &simple_firewall::program(),
-        CompilerOptions::default(),
-        &packets,
-        |_| {},
-    );
+    assert_clean(&simple_firewall::program(), CompilerOptions::default(), &packets, |_| {});
 }
 
 #[test]
 fn router_equivalent_with_host_routes() {
     let packets = mixed_traffic(250, 33);
-    assert_equivalent_with(&router::program(), CompilerOptions::default(), &packets, |maps| {
+    assert_clean(&router::program(), CompilerOptions::default(), &packets, |maps| {
         router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
         router::install_route(maps, [192, 168, 0, 0], 16, 2, [0xbb; 6], [0x02; 6]);
         router::install_route(maps, [192, 168, 7, 0], 24, 3, [0xcc; 6], [0x02; 6]);
@@ -74,7 +85,7 @@ fn tunnel_equivalent_with_endpoints() {
         Workload::new(flows.clone(), Popularity::Uniform, 96, 44).packets(200);
     packets.extend(mixed_traffic(20, 45));
     let endpoints: Vec<[u8; 4]> = flows.flows().iter().take(8).map(|f| f.daddr).collect();
-    assert_equivalent_with(&tunnel::program(), CompilerOptions::default(), &packets, move |maps| {
+    assert_clean(&tunnel::program(), CompilerOptions::default(), &packets, move |maps| {
         for (i, daddr) in endpoints.iter().enumerate() {
             tunnel::install_endpoint(
                 maps,
@@ -186,16 +197,11 @@ fn suricata_equivalent_with_rules() {
     let mut packets: Vec<Vec<u8>> =
         Workload::new(flows, Popularity::Zipf { alpha: 1.0 }, 64, 66).packets(300);
     packets.extend(mixed_traffic(30, 67));
-    assert_equivalent_with(
-        &suricata::program(),
-        CompilerOptions::default(),
-        &packets,
-        move |maps| {
-            for f in &blocked {
-                suricata::install_rule(maps, f);
-            }
-        },
-    );
+    assert_clean(&suricata::program(), CompilerOptions::default(), &packets, move |maps| {
+        for f in &blocked {
+            suricata::install_rule(maps, f);
+        }
+    });
 }
 
 #[test]
@@ -212,7 +218,7 @@ fn leaky_bucket_equivalent_under_flush_pressure() {
         };
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    assert_equivalent_with(&leaky_bucket::program(), CompilerOptions::default(), &packets, |_| {});
+    assert_clean(&leaky_bucket::program(), CompilerOptions::default(), &packets, |_| {});
 }
 
 #[test]
@@ -254,7 +260,7 @@ fn ablation_options_stay_equivalent() {
         CompilerOptions { frame_size: 32, ..Default::default() },
         CompilerOptions { frame_size: 128, ..Default::default() },
     ] {
-        assert_equivalent_with(&program, opts, &packets, |_| {});
+        assert_clean(&program, opts, &packets, |_| {});
     }
 }
 
@@ -264,8 +270,7 @@ fn actions_distribute_as_expected() {
     let program = simple_firewall::program();
     let design = Compiler::new().compile(&program).unwrap();
     let packets = mixed_traffic(200, 88);
-    let divs = compare_with(&program, &design, &packets, |_| {});
-    assert!(divs.is_empty(), "{divs:?}");
+    check(&Scenario::new(&program, &design, &packets)).assert_clean();
     let mut sim = PipelineSim::with_options(
         &design,
         SimOptions { freeze_time_ns: Some(1000), ..Default::default() },
@@ -285,7 +290,6 @@ fn pruning_is_dynamically_sound_under_poisoning() {
     // Clobber every register and stack byte the pruning analysis declares
     // dead, at every stage boundary — the hardware equivalent of not
     // wiring them. Behaviour must be unchanged for every application.
-    use ehdl::hwsim::diff::compare_full;
     use ehdl::programs::{leaky_bucket, App};
 
     let poison =
@@ -297,34 +301,26 @@ fn pruning_is_dynamically_sound_under_poisoning() {
         let program = app.program();
         let design = Compiler::new().compile(&program).unwrap();
         let packets = mixed_traffic(150, 99);
-        let divs = compare_full(
-            &program,
-            &design,
-            &packets,
-            |maps| {
-                if app == App::Router {
-                    router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
-                }
-                if app == App::Tunnel {
-                    tunnel::install_endpoint(
-                        maps,
-                        [192, 168, 0, 1],
-                        [1; 4],
-                        [2; 4],
-                        [3; 6],
-                        [4; 6],
-                    );
-                }
-                if app == App::Suricata {
-                    suricata::install_rule(
-                        maps,
-                        &FiveTuple { saddr: [9; 4], daddr: [8; 4], sport: 1, dport: 2, proto: 17 },
-                    );
-                }
-            },
-            &[],
-            poison,
-        );
+        let setup = |maps: &mut MapStore| {
+            if app == App::Router {
+                router::install_route(maps, [0, 0, 0, 0], 0, 1, [0xaa; 6], [0x02; 6]);
+            }
+            if app == App::Tunnel {
+                tunnel::install_endpoint(maps, [192, 168, 0, 1], [1; 4], [2; 4], [3; 6], [4; 6]);
+            }
+            if app == App::Suricata {
+                suricata::install_rule(
+                    maps,
+                    &FiveTuple { saddr: [9; 4], daddr: [8; 4], sport: 1, dport: 2, proto: 17 },
+                );
+            }
+        };
+        let divs = check(&Scenario {
+            setup: &setup,
+            options: poison,
+            ..Scenario::new(&program, &design, &packets)
+        })
+        .divergences;
         assert!(divs.is_empty(), "{app} diverges under dead-state poisoning: {divs:?}");
     }
     // The leaky bucket exercises poisoning under flush replays as well.
@@ -341,7 +337,8 @@ fn pruning_is_dynamically_sound_under_poisoning() {
         };
         packets.push(build_flow_packet(&f, [2; 6], [3; 6], 64));
     }
-    let divs = compare_full(&program, &design, &packets, |_| {}, &[], poison);
+    let divs = check(&Scenario { options: poison, ..Scenario::new(&program, &design, &packets) })
+        .divergences;
     assert!(divs.is_empty(), "leaky bucket diverges under poisoning: {divs:?}");
 }
 
@@ -353,8 +350,6 @@ fn exotic_atomics_equivalent() {
     use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
     use ehdl::ebpf::maps::{MapDef, MapKind};
     use ehdl::ebpf::opcode::{AluOp, AtomicOp, JmpOp, MemSize};
-    use ehdl::ebpf::Program;
-    use ehdl::hwsim::diff::assert_equivalent_with;
 
     let ops: [AtomicOp; 6] = [
         AtomicOp::Add { fetch: true },
@@ -411,6 +406,6 @@ fn exotic_atomics_equivalent() {
                 p
             })
             .collect();
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets, |_| {});
+        assert_clean(&program, CompilerOptions::default(), &packets, |_| {});
     }
 }

@@ -7,14 +7,23 @@
 //! the workspace builds without crates.io access. The two historical
 //! proptest regression cases are preserved verbatim as explicit tests.
 
-use ehdl::core::CompilerOptions;
+use ehdl::core::{Compiler, CompilerOptions};
 use ehdl::ebpf::asm::Asm;
 use ehdl::ebpf::helpers::BPF_MAP_LOOKUP_ELEM;
 use ehdl::ebpf::maps::{MapDef, MapKind};
 use ehdl::ebpf::opcode::{AluOp, JmpOp, MemSize};
 use ehdl::ebpf::Program;
-use ehdl::hwsim::diff::assert_equivalent_with;
+use ehdl::hwsim::diff::{check, Scenario};
 use ehdl_rng::Rng;
+
+/// Compile `program` with `options` and check it on `packets`, panicking
+/// on any divergence from the reference VM.
+fn assert_clean(program: &Program, options: CompilerOptions, packets: &[Vec<u8>]) {
+    let design = Compiler::with_options(options)
+        .compile(program)
+        .unwrap_or_else(|e| panic!("compile {}: {e}", program.name));
+    check(&Scenario::new(program, &design, packets)).assert_clean();
+}
 
 const ALU_OPS: [AluOp; 10] = [
     AluOp::Add,
@@ -210,7 +219,7 @@ fn random_programs_equivalent() {
         let rp = rand_program(&mut rng);
         let seed = rng.next_u64();
         let program = build(&rp);
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(seed, 24), |_| {});
+        assert_clean(&program, CompilerOptions::default(), &packets(seed, 24));
     }
 }
 
@@ -231,7 +240,7 @@ fn random_programs_equivalent_under_ablations() {
             CompilerOptions { hazard_opt: false, ..Default::default() },
             CompilerOptions { frame_size: 32, ..Default::default() },
         ] {
-            assert_equivalent_with(&program, opts, &pkts, |_| {});
+            assert_clean(&program, opts, &pkts);
         }
     }
 }
@@ -281,7 +290,7 @@ fn regression_endian_before_branch() {
         verdict_reg: 2,
     };
     let program = build(&rp);
-    assert_equivalent_with(&program, CompilerOptions::default(), &packets(0, 24), |_| {});
+    assert_clean(&program, CompilerOptions::default(), &packets(0, 24));
 }
 
 /// Historical regression: a `to_be` in the else arm only (from the proptest
@@ -298,7 +307,7 @@ fn regression_endian_in_else_arm() {
         verdict_reg: 2,
     };
     let program = build(&rp);
-    assert_equivalent_with(&program, CompilerOptions::default(), &packets(0, 24), |_| {});
+    assert_clean(&program, CompilerOptions::default(), &packets(0, 24));
 }
 
 /// Bounded loops: unrolled pipelines match the VM on loop programs too.
@@ -332,12 +341,7 @@ fn loop_programs_equivalent() {
         a.mov64_imm(0, 1);
         a.exit();
         let program = Program::from_insns(a.into_insns());
-        assert_equivalent_with(
-            &program,
-            CompilerOptions::default(),
-            &packets(trip as u64, 16),
-            |_| {},
-        );
+        assert_clean(&program, CompilerOptions::default(), &packets(trip as u64, 16));
     }
 }
 
@@ -376,7 +380,7 @@ fn adjust_head_and_tail_equivalent() {
         a.mov64_imm(0, 1);
         a.exit();
         let program = Program::from_insns(a.into_insns());
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(7, 16), |_| {});
+        assert_clean(&program, CompilerOptions::default(), &packets(7, 16));
     }
 }
 
@@ -389,6 +393,6 @@ fn soak_random_programs() {
     for case in 0..400u64 {
         let rp = rand_program(&mut rng);
         let program = build(&rp);
-        assert_equivalent_with(&program, CompilerOptions::default(), &packets(case, 32), |_| {});
+        assert_clean(&program, CompilerOptions::default(), &packets(case, 32));
     }
 }
