@@ -8,72 +8,28 @@
 //! ```sh
 //! cargo bench --bench absint_stats            # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench absint_stats   # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench absint_stats   # fail on regression
+//! EHDL_CHECK_BENCH=1 cargo bench --bench absint_stats   # also check against it
 //! ```
 
-use ehdl_bench::absint::{measure, read_recorded, write_report, REPORT_PATH};
+use ehdl_bench::absint::{measure, AbsintRow};
+use ehdl_bench::record::{Bench, Dir, Gate};
+
+/// One row per app, keyed by `app`.
+const BENCH: Bench = Bench {
+    name: "absint",
+    keys: &["app"],
+    gates: &[
+        // The evaluation's hard floor: at least 80% of packet accesses
+        // proven on every app.
+        Gate::floor("proven_fraction", 0.8),
+        // No app proves fewer accesses than recorded, and the access
+        // count itself does not move.
+        Gate::drift("proven_accesses", Dir::Down, 0.0, 0.0),
+        Gate::exact("packet_accesses"),
+    ],
+};
 
 fn main() {
     let rows = measure();
-    println!(
-        "{:<10} {:>8} {:>8} {:>6} {:>9} {:>10} {:>9} {:>10}",
-        "app", "pkt-acc", "proven", "cut-br", "luts", "base-luts", "ffs", "base-ffs"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>8} {:>8} {:>6} {:>9} {:>10} {:>9} {:>10}   ({:.0}% proven, {} LUTs saved)",
-            r.app,
-            r.packet_accesses,
-            r.proven_accesses,
-            r.decided_branches,
-            r.luts,
-            r.luts_baseline,
-            r.ffs,
-            r.ffs_baseline,
-            r.proven_fraction() * 100.0,
-            r.luts_baseline.saturating_sub(r.luts),
-        );
-    }
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&rows).expect("write BENCH_absint.json");
-        println!("recorded {REPORT_PATH}");
-    }
-
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failed = false;
-        for r in &rows {
-            // Hard floor from the evaluation: at least 80% of packet
-            // accesses proven on every example app.
-            if r.proven_fraction() < 0.8 {
-                eprintln!(
-                    "absint REGRESSION: {} proves only {}/{} packet accesses (<80%)",
-                    r.app, r.proven_accesses, r.packet_accesses,
-                );
-                failed = true;
-            }
-            // And no per-app regression against the recorded baseline.
-            match read_recorded(&r.app) {
-                Some((total, proven)) => {
-                    if r.proven_accesses < proven || r.packet_accesses != total {
-                        eprintln!(
-                            "absint REGRESSION: {} proves {}/{} vs recorded {proven}/{total}; \
-                             re-record with EHDL_WRITE_BENCH=1 if intentional",
-                            r.app, r.proven_accesses, r.packet_accesses,
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "absint OK: {} proves {}/{} (recorded {proven}/{total})",
-                            r.app, r.proven_accesses, r.packet_accesses,
-                        );
-                    }
-                }
-                None => println!("no recorded baseline for {}; skipping gate", r.app),
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    BENCH.finish(&rows.iter().map(AbsintRow::row).collect::<Vec<_>>(), Vec::new());
 }

@@ -7,153 +7,71 @@
 //! ```sh
 //! cargo bench --bench chaos                       # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench chaos    # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench chaos    # enforce the gates
+//! EHDL_CHECK_BENCH=1 cargo bench --bench chaos    # also check against it
 //! ```
 //!
-//! Gates under `EHDL_CHECK_BENCH=1` (all exact — the campaign is
-//! simulated-deterministic):
-//!
-//! - every injected failure is detected or masked, within the watchdog
-//!   budget;
-//! - zero silent loss: offered == completed + drained + discarded +
-//!   rejected, in every scenario;
-//! - availability under a single kill stays ≥ (N−1)/N − 5%;
-//! - at 10% channel loss every host op completes exactly once, with the
-//!   retried sequence bit-identical to the lossless reference;
-//! - availability must stay within 5 points of the recorded baseline
-//!   (re-record with `EHDL_WRITE_BENCH=1` if the change is intentional).
+//! The campaign is simulated-deterministic. Its bounds are the [`BENCH`]
+//! gate table plus the accounting identities checked in `main`: every
+//! injected failure is detected or masked, every offered packet is
+//! completed, drained, discarded or rejected in every scenario, and every
+//! host op at 10% channel loss completes.
 
-use ehdl_bench::chaos::{
-    measure_all_faults, measure_ctrl, read_recorded, write_report, CHAOS_REPLICAS, REPORT_PATH,
-    WATCHDOG_BUDGET,
+use ehdl_bench::chaos::{measure_all_faults, measure_ctrl, CHAOS_REPLICAS, WATCHDOG_BUDGET};
+use ehdl_bench::record::{Bench, Dir, Gate};
+
+/// Fault rows keyed by `app`/`scenario`, control-loss rows by `loss_rate`.
+const BENCH: Bench = Bench {
+    name: "chaos",
+    keys: &["app", "scenario", "loss_rate"],
+    gates: &[
+        // Detection within the watchdog budget.
+        Gate::ceiling("detection_latency_max", WATCHDOG_BUDGET as f64),
+        // Availability under a single kill stays >= (N-1)/N - 5%.
+        Gate::floor("availability", (CHAOS_REPLICAS as f64 - 1.0) / CHAOS_REPLICAS as f64 - 0.05)
+            .when(&[("scenario", "kill1")]),
+        // Availability stays within 5 points of the recording.
+        Gate::drift("availability", Dir::Both, 0.0, 0.05),
+        // At 10% channel loss no op is abandoned and the retried
+        // sequence is bit-identical to the lossless reference.
+        Gate::ceiling("gave_up", 0.0),
+        Gate::floor("reference_identical", 1.0),
+    ],
 };
 
 fn main() {
     let rows = measure_all_faults();
     let ctrl = measure_ctrl();
+    let mut failures = Vec::new();
     for r in &rows {
-        println!(
-            "chaos[{}/{}]: injected {} detected {} masked {}, det.lat max {} cy (mean {:.0}), \
-             completed {} drained {} discarded {} dropped {}, availability {:.4}, \
-             {:.4} pkts/cycle",
-            r.app,
-            r.scenario,
-            r.injected,
-            r.detected,
-            r.masked,
-            r.detection_latency_max,
-            r.mean_detection_latency,
-            r.completed,
-            r.drained,
-            r.discarded,
-            r.dropped,
-            r.availability,
-            r.pkts_per_cycle,
-        );
+        if r.detected + r.masked != r.injected {
+            failures.push(format!(
+                "{}/{}: {} of {} injected failures unaccounted (detected {}, masked {})",
+                r.app,
+                r.scenario,
+                r.injected - r.detected - r.masked,
+                r.injected,
+                r.detected,
+                r.masked,
+            ));
+        }
+        if r.packets as u64 != r.completed + r.lost + r.dropped {
+            failures.push(format!(
+                "{}/{}: silent loss — offered {} != completed {} + lost {} + dropped {}",
+                r.app, r.scenario, r.packets, r.completed, r.lost, r.dropped,
+            ));
+        }
     }
     for c in &ctrl {
-        println!(
-            "chaos[ctrl loss {:.0}%]: {} ops, {} completed, {} retries, {} dups suppressed, \
-             {} gave up, p99 {} cy, reference_identical {}",
-            c.loss_rate * 100.0,
-            c.ops,
-            c.completed_ops,
-            c.retries,
-            c.dup_suppressed,
-            c.gave_up,
-            c.p99_op_latency_cycles,
-            c.reference_identical,
-        );
-    }
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&rows, &ctrl).expect("write BENCH_chaos.json");
-        println!("recorded {REPORT_PATH}");
-    }
-
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failures = Vec::new();
-        let floor = (CHAOS_REPLICAS as f64 - 1.0) / CHAOS_REPLICAS as f64 - 0.05;
-
-        for r in &rows {
-            if r.detected + r.masked != r.injected {
-                failures.push(format!(
-                    "{}/{}: {} of {} injected failures unaccounted (detected {}, masked {})",
-                    r.app,
-                    r.scenario,
-                    r.injected - r.detected - r.masked,
-                    r.injected,
-                    r.detected,
-                    r.masked,
-                ));
-            }
-            if r.detection_latency_max > WATCHDOG_BUDGET {
-                failures.push(format!(
-                    "{}/{}: detection latency {} cy exceeds the {WATCHDOG_BUDGET} cy budget",
-                    r.app, r.scenario, r.detection_latency_max,
-                ));
-            }
-            if r.packets as u64 != r.completed + r.lost + r.dropped {
-                failures.push(format!(
-                    "{}/{}: silent loss — offered {} != completed {} + lost {} + dropped {}",
-                    r.app, r.scenario, r.packets, r.completed, r.lost, r.dropped,
-                ));
-            }
-            if r.scenario == "kill1" && r.availability < floor {
-                failures.push(format!(
-                    "{}/{}: availability {:.4} below the {floor:.4} single-kill floor",
-                    r.app, r.scenario, r.availability,
-                ));
-            }
-            match read_recorded(&r.app, &r.scenario, "availability") {
-                Some(recorded) if (r.availability - recorded).abs() > 0.05 => {
-                    failures.push(format!(
-                        "{}/{}: availability {:.4} vs recorded {:.4} (>5 points drift); \
-                         re-record with EHDL_WRITE_BENCH=1 if intentional",
-                        r.app, r.scenario, r.availability, recorded,
-                    ));
-                }
-                Some(recorded) => println!(
-                    "chaos OK: {}/{} availability {:.4} vs recorded {:.4}",
-                    r.app, r.scenario, r.availability, recorded,
-                ),
-                None => println!(
-                    "no recorded entry for {}/{}; skipping regression gate",
-                    r.app, r.scenario,
-                ),
-            }
+        if c.completed_ops != c.ops {
+            failures.push(format!(
+                "ctrl loss {:.0}%: {} of {} ops never completed",
+                c.loss_rate * 100.0,
+                c.ops - c.completed_ops,
+                c.ops,
+            ));
         }
-
-        for c in &ctrl {
-            if c.gave_up != 0 {
-                failures.push(format!(
-                    "ctrl loss {:.0}%: {} ops abandoned — exactly-once broken",
-                    c.loss_rate * 100.0,
-                    c.gave_up,
-                ));
-            }
-            if !c.reference_identical {
-                failures.push(format!(
-                    "ctrl loss {:.0}%: retried op sequence diverged from the lossless reference",
-                    c.loss_rate * 100.0,
-                ));
-            }
-            if c.completed_ops != c.ops {
-                failures.push(format!(
-                    "ctrl loss {:.0}%: {} of {} ops never completed",
-                    c.loss_rate * 100.0,
-                    c.ops - c.completed_ops,
-                    c.ops,
-                ));
-            }
-        }
-
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("chaos REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("chaos OK: all gates passed");
     }
+    let mut recorded: Vec<_> = rows.iter().map(|r| r.row()).collect();
+    recorded.extend(ctrl.iter().map(|c| c.row()));
+    BENCH.finish(&recorded, failures);
 }

@@ -8,95 +8,32 @@
 //! ```sh
 //! cargo bench --bench runtime_ops            # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench runtime_ops   # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench runtime_ops   # fail on regressions
+//! EHDL_CHECK_BENCH=1 cargo bench --bench runtime_ops   # also check against it
 //! ```
 
-use ehdl_bench::runtime_ops::{busy, measure, read_recorded, write_report, REPORT_PATH};
+use ehdl_bench::record::{Bench, Dir, Gate};
+use ehdl_bench::runtime_ops::measure;
 
-/// The hard ceiling on telemetry polling overhead: the exporter must cost
-/// less than 1% of the firewall run's wall clock.
-const TELEMETRY_OVERHEAD_MAX: f64 = 0.01;
+/// Op-scenario rows keyed by `op_rate`; the `idle`, `swap` and
+/// `telemetry` rows by `scenario`.
+const BENCH: Bench = Bench {
+    name: "runtime",
+    keys: &["op_rate", "scenario"],
+    gates: &[
+        // Telemetry polling costs less than 1% of the firewall run.
+        Gate::ceiling("overhead_frac", 0.01),
+        // A reload has real downtime (zero means it was not measured).
+        Gate::floor("downtime_cycles", 1.0),
+        // Simulated-cycle quantities: deterministic up to intentional
+        // model changes, so a 2x jump is a regression.
+        Gate::drift("mean_latency_cycles", Dir::Up, 1.0, 0.0).when(&[("op_rate", "0.5")]),
+        Gate::drift("downtime_cycles", Dir::Up, 1.0, 0.0),
+    ],
+};
 
 fn main() {
     // Warm-up run (page-in, map setup), then the measured one.
     let _ = measure(1_000, 2_000, 1);
     let report = measure(20_000, ehdl_bench::EVAL_PACKETS, 5);
-    for sc in &report.scenarios {
-        println!(
-            "runtime_ops: rate {:.2} -> {} ops, mean {:.1} / max {} cycles latency, \
-             {} host-op flushes, {:.0} ops/s simulated",
-            sc.op_rate,
-            sc.ops,
-            sc.mean_latency_cycles,
-            sc.max_latency_cycles,
-            sc.host_op_flushes,
-            sc.ops_per_sec_sim,
-        );
-    }
-    println!(
-        "runtime_ops: idle latency {:.1} cycles; swap downtime {} cycles ({:.1} us: \
-         {} drain + {} reconfig), {} entries migrated",
-        report.idle_mean_latency_cycles,
-        report.swap_downtime_cycles,
-        report.swap_downtime_ns / 1e3,
-        report.swap_drain_cycles,
-        report.swap_config_cycles,
-        report.swap_migrated_entries,
-    );
-    println!(
-        "runtime_ops: telemetry {:.3}s base vs {:.3}s polled ({} exports) -> {:.3}% overhead",
-        report.telemetry_base_secs,
-        report.telemetry_polled_secs,
-        report.telemetry_exports,
-        report.telemetry_overhead_frac * 100.0,
-    );
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&report).expect("write BENCH_runtime.json");
-        println!("recorded {REPORT_PATH}");
-    }
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        if report.telemetry_overhead_frac > TELEMETRY_OVERHEAD_MAX {
-            eprintln!(
-                "runtime_ops REGRESSION: telemetry polling costs {:.2}% (> {:.0}% budget)",
-                report.telemetry_overhead_frac * 100.0,
-                TELEMETRY_OVERHEAD_MAX * 100.0,
-            );
-            std::process::exit(1);
-        }
-        if report.swap_downtime_cycles == 0 {
-            eprintln!("runtime_ops REGRESSION: swap reported zero downtime (not measured?)");
-            std::process::exit(1);
-        }
-        match read_recorded() {
-            Some((rec_latency, rec_downtime)) => {
-                // Both are simulated-cycle quantities: deterministic up to
-                // intentional model changes, so a 2x jump is a regression.
-                if busy(&report) > rec_latency * 2.0 {
-                    eprintln!(
-                        "runtime_ops REGRESSION: busy op latency {:.1} vs recorded {:.1} \
-                         cycles (>2x); re-record with EHDL_WRITE_BENCH=1 if intentional",
-                        busy(&report),
-                        rec_latency,
-                    );
-                    std::process::exit(1);
-                }
-                if report.swap_downtime_cycles > rec_downtime * 2 {
-                    eprintln!(
-                        "runtime_ops REGRESSION: swap downtime {} vs recorded {} cycles \
-                         (>2x); re-record with EHDL_WRITE_BENCH=1 if intentional",
-                        report.swap_downtime_cycles, rec_downtime,
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "runtime_ops OK: latency {:.1} vs {:.1} cycles, downtime {} vs {} cycles",
-                    busy(&report),
-                    rec_latency,
-                    report.swap_downtime_cycles,
-                    rec_downtime,
-                );
-            }
-            None => println!("no recorded {REPORT_PATH}; skipping regression gate"),
-        }
-    }
+    BENCH.finish(&report.rows(), Vec::new());
 }

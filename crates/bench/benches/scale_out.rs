@@ -7,119 +7,48 @@
 //! ```sh
 //! cargo bench --bench scale_out              # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench scale_out   # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench scale_out   # enforce the gates
+//! EHDL_CHECK_BENCH=1 cargo bench --bench scale_out   # also check against it
 //! ```
 //!
-//! Gates under `EHDL_CHECK_BENCH=1`:
-//!
-//! - 4 uniform-workload firewall replicas must deliver ≥2.5x the
-//!   aggregate pkts/cycle of a single replica (the scale-out headroom
-//!   this PR exists to buy);
-//! - uniform runs must be lossless (RX overflow on a balanced load is a
-//!   feeding or drain bug, not a workload property);
-//! - every `(app, workload, replicas)` point must stay within 25% of the
-//!   recorded `pkts_per_cycle` — the metric is simulated-deterministic,
-//!   so drift means the timing model changed: re-record with
-//!   `EHDL_WRITE_BENCH=1` if intentional.
+//! Besides the [`BENCH`] gate table, 4 uniform-workload firewall
+//! replicas must deliver >= [`MIN_SCALE_4`]x the aggregate pkts/cycle of a
+//! single replica (the scale-out headroom the fabric exists to buy),
+//! measured live so the sweep rows can't mask it.
 
-use ehdl_bench::scale_out::{
-    measure, measure_all, read_recorded, write_report, REPLICAS, REPORT_PATH, WORKLOADS,
-};
+use ehdl_bench::record::{Bench, Dir, Gate};
+use ehdl_bench::scale_out::{measure, measure_all};
 use ehdl_programs::App;
 use ehdl_traffic::Popularity;
 
 /// Minimum aggregate speedup of 4 uniform firewall replicas over 1.
 const MIN_SCALE_4: f64 = 2.5;
 
+/// One row per `app`/`workload`/`replicas` sweep point.
+const BENCH: Bench = Bench {
+    name: "scale_out",
+    keys: &["app", "workload", "replicas"],
+    gates: &[
+        // Uniform runs are lossless: RX overflow on a balanced load is a
+        // feeding or drain bug, not a workload property.
+        Gate::ceiling("dropped", 0.0).when(&[("workload", "uniform")]),
+        // The metric is simulated-deterministic, so drift past 25% means
+        // the timing model changed.
+        Gate::drift("pkts_per_cycle", Dir::Both, 0.25, 0.0),
+    ],
+};
 fn main() {
     let rows = measure_all();
-    for r in &rows {
-        println!(
-            "scale_out[{}/{}/r{}]: {:.4} pkts/cycle, p99 {} cy, conflicts {:.1}%, \
-             imbalance {:.2}, {} stall cy, {} dropped",
-            r.app,
-            r.workload,
-            r.replicas,
-            r.pkts_per_cycle,
-            r.p99_latency_cycles,
-            r.conflict_rate * 100.0,
-            r.imbalance,
-            r.stall_cycles,
-            r.dropped,
-        );
+    let mut failures = Vec::new();
+    let one = measure(App::Firewall, "uniform", Popularity::Uniform, 1);
+    let four = measure(App::Firewall, "uniform", Popularity::Uniform, 4);
+    let speedup = four.pkts_per_cycle / one.pkts_per_cycle;
+    println!("scale_out: uniform firewall 4-replica speedup {speedup:.2}x (bar {MIN_SCALE_4}x)");
+    if speedup < MIN_SCALE_4 {
+        failures.push(format!(
+            "uniform firewall 4-replica speedup {speedup:.2}x below the {MIN_SCALE_4}x bar \
+             ({:.4} -> {:.4} pkts/cycle)",
+            one.pkts_per_cycle, four.pkts_per_cycle,
+        ));
     }
-
-    // Per-app scaling summary at a glance.
-    let entry = |app: &str, workload: &str, replicas: usize| {
-        rows.iter()
-            .find(|r| r.app == app && r.workload == workload && r.replicas == replicas)
-            .unwrap_or_else(|| panic!("sweep covers {app}/{workload}/r{replicas}"))
-    };
-    for app in [App::Firewall.name(), App::Dnat.name()] {
-        for (label, _) in WORKLOADS {
-            let base = entry(app, label, 1).pkts_per_cycle;
-            let line: Vec<String> = REPLICAS
-                .iter()
-                .map(|&n| format!("r{n}={:.2}x", entry(app, label, n).pkts_per_cycle / base))
-                .collect();
-            println!("scale_out[{app}/{label}]: {}", line.join(" "));
-        }
-    }
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&rows).expect("write BENCH_scale_out.json");
-        println!("recorded {REPORT_PATH}");
-    }
-
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failures = Vec::new();
-
-        // Live scale gate, measured fresh so the sweep rows can't mask it.
-        let one = measure(App::Firewall, "uniform", Popularity::Uniform, 1);
-        let four = measure(App::Firewall, "uniform", Popularity::Uniform, 4);
-        let speedup = four.pkts_per_cycle / one.pkts_per_cycle;
-        if speedup < MIN_SCALE_4 {
-            failures.push(format!(
-                "uniform firewall 4-replica speedup {speedup:.2}x below the {MIN_SCALE_4}x bar \
-                 ({:.4} -> {:.4} pkts/cycle)",
-                one.pkts_per_cycle, four.pkts_per_cycle,
-            ));
-        } else {
-            println!("scale_out OK: uniform firewall 4-replica speedup {speedup:.2}x (bar {MIN_SCALE_4}x)");
-        }
-
-        for r in &rows {
-            if r.workload == "uniform" && r.dropped > 0 {
-                failures.push(format!(
-                    "{}/{}/r{}: {} RX drops on a uniform workload",
-                    r.app, r.workload, r.replicas, r.dropped,
-                ));
-            }
-            match read_recorded(&r.app, &r.workload, r.replicas, "pkts_per_cycle") {
-                Some(recorded) if (r.pkts_per_cycle - recorded).abs() > recorded * 0.25 => {
-                    failures.push(format!(
-                        "{}/{}/r{}: {:.4} pkts/cycle vs recorded {:.4} (>25% drift); \
-                         re-record with EHDL_WRITE_BENCH=1 if intentional",
-                        r.app, r.workload, r.replicas, r.pkts_per_cycle, recorded,
-                    ));
-                }
-                Some(recorded) => println!(
-                    "scale_out OK: {}/{}/r{} {:.4} pkts/cycle vs recorded {:.4}",
-                    r.app, r.workload, r.replicas, r.pkts_per_cycle, recorded,
-                ),
-                None => println!(
-                    "no recorded entry for {}/{}/r{}; skipping regression gate",
-                    r.app, r.workload, r.replicas,
-                ),
-            }
-        }
-
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("scale_out REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("scale_out OK: all gates passed");
-    }
+    BENCH.finish(&rows.iter().map(|r| r.row()).collect::<Vec<_>>(), failures);
 }

@@ -9,100 +9,40 @@
 //! ```sh
 //! cargo bench --bench shardcheck            # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench shardcheck   # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench shardcheck   # fail on regression
+//! EHDL_CHECK_BENCH=1 cargo bench --bench shardcheck   # also check against it
 //! ```
 
-use ehdl_bench::shardcheck::{
-    diagnostics_exercised, measure, read_recorded, read_recorded_diagnostics, write_report,
-    REPORT_PATH,
+use ehdl_bench::record::{Bench, Dir, Gate};
+use ehdl_bench::shardcheck::{diagnostics_exercised, measure};
+use ehdl_runtime::Json;
+
+/// One row per app, plus the campaign-wide `diagnostics` row.
+const BENCH: Bench = Bench {
+    name: "shardcheck",
+    keys: &["app", "campaign"],
+    gates: &[
+        // Every app-zoo map classifies zero-hint, and no static verdict
+        // is contradicted by the dynamic checker.
+        Gate::floor("sound_fraction", 1.0),
+        Gate::ceiling("agreement_failures", 0.0),
+        // No per-app regression against the recording.
+        Gate::drift("sound_maps", Dir::Down, 0.0, 0.0),
+        Gate::drift("exact_maps", Dir::Down, 0.0, 0.0),
+        Gate::drift("agreement_failures", Dir::Up, 0.0, 0.0),
+        // All four ShardError variants fire on the unsound configs.
+        Gate::floor("diagnostics_exercised", 4.0),
+        Gate::ceiling("diagnostics_exercised", 4.0),
+        Gate::drift("diagnostics_exercised", Dir::Down, 0.0, 0.0),
+    ],
 };
 
 fn main() {
     let rows = measure();
     let diagnostics = diagnostics_exercised();
-    println!(
-        "{:<10} {:>5} {:>6} {:>6} {:>7} {:>6} {:>7} {:>6}",
-        "app", "maps", "sound", "exact", "shared", "banks", "checks", "fails"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>5} {:>6} {:>6} {:>7} {:>6} {:>7} {:>6}   ({:.0}% auto-classified)",
-            r.app,
-            r.maps,
-            r.sound_maps,
-            r.exact_maps,
-            r.shared_maps,
-            r.fabric_banks,
-            r.agreement_checks,
-            r.agreement_failures,
-            r.sound_fraction() * 100.0,
-        );
-    }
-    println!("diagnostics exercised: {diagnostics}/4 ShardError variants");
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&rows, diagnostics).expect("write BENCH_shardcheck.json");
-        println!("recorded {REPORT_PATH}");
-    }
-
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failed = false;
-        for r in &rows {
-            // Hard floors from the issue: every app-zoo map classifies
-            // zero-hint, and no static verdict may be contradicted by
-            // the dynamic checker.
-            if r.sound_maps != r.maps {
-                eprintln!(
-                    "shardcheck REGRESSION: {} auto-classifies only {}/{} maps",
-                    r.app, r.sound_maps, r.maps,
-                );
-                failed = true;
-            }
-            if r.agreement_failures != 0 {
-                eprintln!(
-                    "shardcheck REGRESSION: {} has {}/{} verdicts contradicted dynamically",
-                    r.app, r.agreement_failures, r.agreement_checks,
-                );
-                failed = true;
-            }
-            // And no per-app regression against the recorded baseline.
-            match read_recorded(&r.app) {
-                Some((sound, exact, fails)) => {
-                    if r.sound_maps < sound || r.exact_maps < exact || r.agreement_failures > fails
-                    {
-                        eprintln!(
-                            "shardcheck REGRESSION: {} sound={} exact={} fails={} vs recorded \
-                             sound={sound} exact={exact} fails={fails}; re-record with \
-                             EHDL_WRITE_BENCH=1 if intentional",
-                            r.app, r.sound_maps, r.exact_maps, r.agreement_failures,
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "shardcheck OK: {} sound={}/{} exact={} (recorded sound={sound} \
-                             exact={exact})",
-                            r.app, r.sound_maps, r.maps, r.exact_maps,
-                        );
-                    }
-                }
-                None => println!("no recorded baseline for {}; skipping gate", r.app),
-            }
-        }
-        if diagnostics != 4 {
-            eprintln!("shardcheck REGRESSION: only {diagnostics}/4 ShardError variants fire");
-            failed = true;
-        }
-        if let Some(recorded) = read_recorded_diagnostics() {
-            if diagnostics < recorded {
-                eprintln!(
-                    "shardcheck REGRESSION: diagnostics coverage {diagnostics} below recorded \
-                     {recorded}"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    let mut recorded: Vec<_> = rows.iter().map(|r| r.row()).collect();
+    recorded.push(Json::obj([
+        ("campaign", Json::from("diagnostics")),
+        ("diagnostics_exercised", diagnostics.into()),
+    ]));
+    BENCH.finish(&recorded, Vec::new());
 }

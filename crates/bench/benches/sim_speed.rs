@@ -1,8 +1,8 @@
 //! Simulator speed tracker: how many simulated pipeline cycles per second
 //! of wall clock the `ehdl-hwsim` hot loop sustains on Figure-9a-style
 //! runs (all five evaluation apps, 40k packets at 64 B line rate), under
-//! both plans: unfused (every op through the generic per-op path,
-//! reported as `"interpreter"`) and fused (reported as `"compiled"`).
+//! both plans: `"unfused"` (every op through the generic per-op path)
+//! and `"fused"`.
 //!
 //! Writes `BENCH_sim_speed.json` at the workspace root so
 //! `scripts/check.sh` can fail on regressions. Usage:
@@ -10,30 +10,41 @@
 //! ```sh
 //! cargo bench --bench sim_speed            # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench sim_speed   # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench sim_speed   # enforce the gates
+//! EHDL_CHECK_BENCH=1 cargo bench --bench sim_speed   # also check against it
 //! ```
 //!
-//! Gates under `EHDL_CHECK_BENCH=1`:
+//! Besides the [`BENCH`] gate table:
 //!
-//! - per `(app, backend)`: >2x `cycles_per_sec` regression vs the recorded
-//!   baseline fails;
-//! - per app: flush/replay counts within bounds of the recorded baseline
-//!   (the workload is deterministic, so a jump means a hazard-handling
-//!   regression, not noise) and bit-equal across the two plans;
-//! - the fused plan must beat the unfused one by
-//!   [`MIN_FIREWALL_SPEEDUP`] in `packets_per_sec` on the firewall (fig9a)
-//!   run, measured live as an interleaved min-of-3 so machine noise hits
-//!   both plans alike (see DESIGN.md "Compiled stages" for why the bar
-//!   sits where it does).
-//!
-//! Before measuring, a pre-flight (always on) compares each app's fused
-//! plan against [`LOWERING_PINS`] and names every app that grew its
-//! [`FusedOp::Interp`] op count or its delta-stage count, so no app
-//! silently stops being compiled.
+//! - per app, the two plans agree bit-exactly on cycles, flushes and
+//!   replays (the workload is deterministic);
+//! - under `EHDL_CHECK_BENCH=1`, the fused plan beats the unfused one by
+//!   [`MIN_FIREWALL_SPEEDUP`] in wall time on the firewall (fig9a) run,
+//!   measured live as an interleaved min-of-3 so machine noise hits both
+//!   plans alike (see DESIGN.md "Compiled stages" for why the bar sits
+//!   where it does);
+//! - each app's fused plan keeps within its [`LOWERING_PINS`]: growing
+//!   its [`FusedOp::Interp`] op count or its delta-stage count fails and
+//!   names the app, so no app silently stops being compiled.
 
-use ehdl_bench::sim_speed::{measure, measure_all, read_recorded, write_report, REPORT_PATH};
+use ehdl_bench::record::{Bench, Dir, Gate};
+use ehdl_bench::sim_speed::{measure, measure_all};
 use ehdl_core::{Compiler, FusedOp, LoweredPlan};
 use ehdl_programs::App;
+
+/// One row per `app`/`plan` pair.
+const BENCH: Bench = Bench {
+    name: "sim_speed",
+    keys: &["app", "plan"],
+    gates: &[
+        // Hot-loop regression: more than 2x slower than recorded fails.
+        Gate::drift("cycles_per_sec", Dir::Down, 0.5, 0.0),
+        // Flush/replay counts are workload-deterministic, so a jump means
+        // a hazard-handling regression, not noise; the absolute slack
+        // covers intentional schedule shifts.
+        Gate::drift("flushes", Dir::Up, 0.5, 8.0),
+        Gate::drift("flush_replays", Dir::Up, 0.5, 64.0),
+    ],
+};
 
 /// Minimum live fused-over-unfused speedup on the fig9a firewall
 /// run. Interleaved min-of-N measurement sustains 1.4-1.5x on this
@@ -55,7 +66,7 @@ const LOWERING_PINS: [(App, usize, usize); 5] = [
 ];
 
 fn main() {
-    let mut grown = Vec::new();
+    let mut failures = Vec::new();
     for (app, pinned_interp, pinned_delta) in LOWERING_PINS {
         let design = Compiler::new().compile(&app.program()).expect("app compiles");
         let Ok(lp) = LoweredPlan::try_lower(&design);
@@ -65,144 +76,56 @@ fn main() {
             .count();
         let delta = lp.stats().delta_stages;
         if interp > pinned_interp || delta > pinned_delta {
-            grown.push(format!(
-                "{}: {interp} Interp ops / {delta} delta stages (pinned {pinned_interp} / \
-                 {pinned_delta})",
+            failures.push(format!(
+                "{}: lost fused lowering: {interp} Interp ops / {delta} delta stages (pinned \
+                 {pinned_interp} / {pinned_delta})",
                 app.name()
             ));
         }
     }
-    assert!(grown.is_empty(), "apps lost fused lowering: {grown:?}");
 
     // One warm-up (page-in, map setup) then the measured sweep.
     let _ = measure(App::Firewall, true, 8_000);
     let reports = measure_all(ehdl_bench::EVAL_PACKETS);
-    for r in &reports {
+    // `measure_all` runs the unfused plan, then the fused one, per app.
+    for pair in reports.chunks(2) {
+        let (u, f) = (&pair[0], &pair[1]);
         println!(
-            "sim_speed[{}/{}]: {} packets, {} cycles in {:.3}s -> {:.2} Mcycles/s \
-             ({:.2} Mpps simulated), {} flushes / {} replays",
-            r.app,
-            r.backend,
-            r.packets,
-            r.cycles,
-            r.wall_secs,
-            r.cycles_per_sec / 1e6,
-            r.packets_per_sec / 1e6,
-            r.flushes,
-            r.flush_replays,
+            "sim_speed[{}]: fused speedup {:.1}x ({:.2} -> {:.2} Mpps)",
+            u.app,
+            f.packets_per_sec / u.packets_per_sec,
+            u.packets_per_sec / 1e6,
+            f.packets_per_sec / 1e6,
         );
+        if (u.cycles, u.flushes, u.flush_replays) != (f.cycles, f.flushes, f.flush_replays) {
+            failures.push(format!(
+                "{}: plans diverge (cycles {} vs {}, flushes {} vs {}, replays {} vs {})",
+                u.app, u.cycles, f.cycles, u.flushes, f.flushes, u.flush_replays, f.flush_replays,
+            ));
+        }
     }
 
-    let entry = |app: &str, backend: &str| {
-        reports
-            .iter()
-            .find(|r| r.app == app && r.backend == backend)
-            .unwrap_or_else(|| panic!("sweep covers {app}/{backend}"))
-    };
-    for app in App::ALL {
-        let i = entry(app.name(), "interpreter");
-        let c = entry(app.name(), "compiled");
-        println!(
-            "sim_speed[{}]: compiled speedup {:.1}x ({:.2} -> {:.2} Mpps)",
-            app.name(),
-            c.packets_per_sec / i.packets_per_sec,
-            i.packets_per_sec / 1e6,
-            c.packets_per_sec / 1e6,
-        );
-    }
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&reports).expect("write BENCH_sim_speed.json");
-        println!("recorded {REPORT_PATH}");
-    }
-
+    // Live speedup gate on the fig9a app. Interleaved min-of-3 so a load
+    // spike on a shared core penalizes both plans, not whichever one it
+    // happened to land on.
     if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failures = Vec::new();
-
-        // The two plans must agree bit-exactly on the deterministic
-        // workload: same cycle count, same flush/replay behaviour.
-        for app in App::ALL {
-            let i = entry(app.name(), "interpreter");
-            let c = entry(app.name(), "compiled");
-            if i.cycles != c.cycles || i.flushes != c.flushes || i.flush_replays != c.flush_replays
-            {
-                failures.push(format!(
-                    "{}: backends diverge (cycles {} vs {}, flushes {} vs {}, replays {} vs {})",
-                    app.name(),
-                    i.cycles,
-                    c.cycles,
-                    i.flushes,
-                    c.flushes,
-                    i.flush_replays,
-                    c.flush_replays,
-                ));
-            }
-        }
-
-        // Live speedup gate on the fig9a app. Interleaved min-of-3 so a
-        // load spike on a shared core penalizes both plans, not
-        // whichever one it happened to land on.
-        let mut best_i = f64::INFINITY;
-        let mut best_c = f64::INFINITY;
+        let mut best_u = f64::INFINITY;
+        let mut best_f = f64::INFINITY;
         for _ in 0..3 {
-            best_i = best_i.min(measure(App::Firewall, false, ehdl_bench::EVAL_PACKETS).wall_secs);
-            best_c = best_c.min(measure(App::Firewall, true, ehdl_bench::EVAL_PACKETS).wall_secs);
+            best_u = best_u.min(measure(App::Firewall, false, ehdl_bench::EVAL_PACKETS).wall_secs);
+            best_f = best_f.min(measure(App::Firewall, true, ehdl_bench::EVAL_PACKETS).wall_secs);
         }
-        let speedup = best_i / best_c;
+        let speedup = best_u / best_f;
+        println!(
+            "sim_speed: firewall fused speedup {speedup:.2}x (best wall {best_f:.3}s vs unfused \
+             {best_u:.3}s, bar {MIN_FIREWALL_SPEEDUP}x)"
+        );
         if speedup < MIN_FIREWALL_SPEEDUP {
             failures.push(format!(
-                "firewall compiled speedup {speedup:.2}x below the {MIN_FIREWALL_SPEEDUP}x bar \
-                 (best wall {best_c:.3}s vs interpreter {best_i:.3}s)",
+                "firewall fused speedup {speedup:.2}x below the {MIN_FIREWALL_SPEEDUP}x bar"
             ));
-        } else {
-            println!(
-                "sim_speed OK: firewall compiled speedup {speedup:.2}x (bar {MIN_FIREWALL_SPEEDUP}x)"
-            );
         }
-
-        for r in &reports {
-            // Wall-clock regression gate per (app, backend).
-            match read_recorded(&r.app, &r.backend, "cycles_per_sec") {
-                Some(recorded) if r.cycles_per_sec < recorded / 2.0 => {
-                    failures.push(format!(
-                        "{}/{}: {:.0} cycles/s vs recorded {:.0} (>2x slower); re-record with \
-                         EHDL_WRITE_BENCH=1 if intentional",
-                        r.app, r.backend, r.cycles_per_sec, recorded,
-                    ));
-                }
-                Some(recorded) => println!(
-                    "sim_speed OK: {}/{} {:.0} cycles/s vs recorded {:.0}",
-                    r.app, r.backend, r.cycles_per_sec, recorded,
-                ),
-                None => println!(
-                    "no recorded entry for {}/{}; skipping regression gate",
-                    r.app, r.backend
-                ),
-            }
-            // Deterministic flush/replay bounds per (app, backend). A small
-            // absolute allowance covers intentional schedule shifts.
-            let recorded_flushes = read_recorded(&r.app, &r.backend, "flushes");
-            let recorded_replays = read_recorded(&r.app, &r.backend, "flush_replays");
-            if let (Some(flushes), Some(replays)) = (recorded_flushes, recorded_replays) {
-                let (flushes, replays) = (flushes as u64, replays as u64);
-                let flush_bound = flushes + flushes / 2 + 8;
-                let replay_bound = replays + replays / 2 + 64;
-                if r.flushes > flush_bound || r.flush_replays > replay_bound {
-                    failures.push(format!(
-                        "{}/{}: {} flushes / {} replays vs recorded {} / {}; re-record with \
-                         EHDL_WRITE_BENCH=1 if intentional",
-                        r.app, r.backend, r.flushes, r.flush_replays, flushes, replays,
-                    ));
-                }
-            }
-        }
-
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("sim_speed REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("sim_speed OK: all gates passed");
     }
+
+    BENCH.finish(&reports.iter().map(|r| r.row()).collect::<Vec<_>>(), failures);
 }

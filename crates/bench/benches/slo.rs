@@ -7,169 +7,66 @@
 //! ```sh
 //! cargo bench --bench slo                       # measure and print
 //! EHDL_WRITE_BENCH=1 cargo bench --bench slo    # also record JSON
-//! EHDL_CHECK_BENCH=1 cargo bench --bench slo    # enforce the gates
+//! EHDL_CHECK_BENCH=1 cargo bench --bench slo    # also check against it
 //! ```
 //!
-//! Gates under `EHDL_CHECK_BENCH=1` (all exact — the campaign is
-//! simulated-deterministic):
-//!
-//! - whole-run availability across the lossless serving phases stays at
-//!   or above the 99.9% target;
-//! - p999 admission-to-ack op latency stays under
-//!   [`ehdl_bench::slo::OP_P999_BOUND_CYCLES`];
-//! - the coalescer actually shrinks the device schedule (ops_out <
-//!   ops_in, with collapsed updates or shared lookups);
-//! - the kill storm is detected, every punted frame is recovered by the
-//!   host retry pass, and request-level availability stays ≥ 99%;
-//! - at 10% channel loss every admitted op acks exactly once (nothing
-//!   abandoned, nothing lost, retries observed);
-//! - availability and tail latency must stay near the recorded baseline
-//!   (re-record with `EHDL_WRITE_BENCH=1` if the change is intentional).
+//! The campaign is simulated-deterministic. Its bounds are the [`BENCH`]
+//! gate table plus two checks in `main`: the coalescer shrinks the device
+//! schedule, and the kill storm loses no packet silently.
 
-use ehdl_bench::slo::{
-    measure, read_recorded, write_report, KILL_AVAILABILITY_FLOOR, OP_P999_BOUND_CYCLES,
-    REPORT_PATH, TARGET_AVAILABILITY,
+use ehdl_bench::record::{Bench, Dir, Gate};
+use ehdl_bench::slo::measure;
+
+/// Phase rows and the whole-run `summary` row, keyed by `name`.
+const BENCH: Bench = Bench {
+    name: "slo",
+    keys: &["name"],
+    gates: &[
+        // Whole-run availability across the lossless serving phases meets
+        // the 99.9% target and stays within 0.5 points of the recording.
+        Gate::floor("availability", 0.999).when(SUMMARY),
+        Gate::drift("availability", Dir::Both, 0.0, 0.005).when(SUMMARY),
+        // p999 admission-to-ack op latency: measured at 96 cycles (one
+        // ctrl round trip plus the turn cadence), ~5x headroom, and
+        // within 50% of the recording.
+        Gate::ceiling("op_p999_cycles", 512.0),
+        Gate::drift("op_p999_cycles", Dir::Both, 0.5, 0.0),
+        // The reload phase completes a live swap.
+        Gate::floor("swaps", 1.0),
+        // The kill storm is detected exactly once, every punted frame is
+        // recovered by the host retry pass, and request-level
+        // availability under the kill stays >= 99%.
+        Gate::floor("kill_detected", 1.0),
+        Gate::ceiling("kill_detected", 1.0),
+        Gate::ceiling("kill_unrecovered", 0.0),
+        Gate::floor("kill_availability", 0.99),
+        // At 10% channel loss every admitted op acks exactly once, and
+        // the loss forces retransmissions.
+        Gate::ceiling("lossy_gave_up", 0.0),
+        Gate::ceiling("lossy_lost_acked", 0.0),
+        Gate::floor("lossy_retries", 1.0),
+    ],
 };
+
+/// The whole-run row.
+const SUMMARY: &[(&str, &str)] = &[("name", "summary")];
 
 fn main() {
     let (phases, s) = measure();
-    for p in &phases {
-        println!(
-            "slo[{}]: offered {} served {} failed {} shed {}, availability {:.4}",
-            p.name, p.offered, p.served, p.failed, p.shed, p.availability,
-        );
+    let mut failures = Vec::new();
+    if s.ops_out >= s.ops_in || s.updates_collapsed + s.lookups_shared == 0 {
+        failures.push(format!(
+            "coalescing ineffective: {} ops in -> {} out ({} collapsed, {} shared)",
+            s.ops_in, s.ops_out, s.updates_collapsed, s.lookups_shared,
+        ));
     }
-    println!(
-        "slo[overall]: availability {:.4} (budget consumed {:.2}), op p50/p99/p999 {}/{}/{} cy, \
-         pkt p50/p99/p999 {}/{}/{} cy, {} swaps ({} cy downtime)",
-        s.availability,
-        s.error_budget_consumed,
-        s.op_p50_cycles,
-        s.op_p99_cycles,
-        s.op_p999_cycles,
-        s.pkt_p50_cycles,
-        s.pkt_p99_cycles,
-        s.pkt_p999_cycles,
-        s.swaps,
-        s.swap_downtime_cycles,
-    );
-    println!(
-        "slo[coalesce]: {} client ops -> {} device ops ({} updates collapsed, {} lookups shared)",
-        s.ops_in, s.ops_out, s.updates_collapsed, s.lookups_shared,
-    );
-    println!(
-        "slo[kill]: offered {} completed {} (retried {}, unrecovered {}, discarded {}), \
-         availability {:.4}, detected {}",
-        s.kill_offered,
-        s.kill_completed,
-        s.kill_retried,
-        s.kill_unrecovered,
-        s.kill_discarded,
-        s.kill_availability,
-        s.kill_detected,
-    );
-    println!(
-        "slo[lossy 10%]: {} accepted, {} acked, {} retries, {} dups suppressed, \
-         {} gave up, {} lost",
-        s.lossy_accepted,
-        s.lossy_acked,
-        s.lossy_retries,
-        s.lossy_dup_suppressed,
-        s.lossy_gave_up,
-        s.lossy_lost_acked,
-    );
-
-    if std::env::var_os("EHDL_WRITE_BENCH").is_some() {
-        write_report(&phases, &s).expect("write BENCH_slo.json");
-        println!("recorded {REPORT_PATH}");
+    if s.kill_offered != s.kill_completed + s.kill_unrecovered + s.kill_discarded {
+        failures.push(format!(
+            "kill storm: silent loss — offered {} != completed {} + unrecovered {} + discarded {}",
+            s.kill_offered, s.kill_completed, s.kill_unrecovered, s.kill_discarded,
+        ));
     }
-
-    if std::env::var_os("EHDL_CHECK_BENCH").is_some() {
-        let mut failures = Vec::new();
-
-        if s.availability < TARGET_AVAILABILITY {
-            failures.push(format!(
-                "serving availability {:.4} fell below the {TARGET_AVAILABILITY} target",
-                s.availability,
-            ));
-        }
-        if s.op_p999_cycles > OP_P999_BOUND_CYCLES {
-            failures.push(format!(
-                "op p999 latency {} cy exceeds the {OP_P999_BOUND_CYCLES} cy bound",
-                s.op_p999_cycles,
-            ));
-        }
-        if s.swaps < 1 {
-            failures.push("the reload phase completed no live swap".to_string());
-        }
-        if s.ops_out >= s.ops_in || s.updates_collapsed + s.lookups_shared == 0 {
-            failures.push(format!(
-                "coalescing ineffective: {} ops in -> {} out ({} collapsed, {} shared)",
-                s.ops_in, s.ops_out, s.updates_collapsed, s.lookups_shared,
-            ));
-        }
-        if s.kill_detected != 1 {
-            failures.push(format!("kill storm: {} detections, expected 1", s.kill_detected));
-        }
-        if s.kill_unrecovered != 0 {
-            failures.push(format!(
-                "kill storm: {} punted frames unrecovered after the host retry pass",
-                s.kill_unrecovered,
-            ));
-        }
-        if s.kill_availability < KILL_AVAILABILITY_FLOOR {
-            failures.push(format!(
-                "kill-storm availability {:.4} below the {KILL_AVAILABILITY_FLOOR} floor",
-                s.kill_availability,
-            ));
-        }
-        if s.kill_offered != s.kill_completed + s.kill_unrecovered + s.kill_discarded {
-            failures.push(format!(
-                "kill storm: silent loss — offered {} != completed {} + unrecovered {} \
-                 + discarded {}",
-                s.kill_offered, s.kill_completed, s.kill_unrecovered, s.kill_discarded,
-            ));
-        }
-        if s.lossy_gave_up != 0 || s.lossy_lost_acked != 0 {
-            failures.push(format!(
-                "lossy channel: exactly-once broken ({} gave up, {} lost acks)",
-                s.lossy_gave_up, s.lossy_lost_acked,
-            ));
-        }
-        if s.lossy_retries == 0 {
-            failures.push("lossy channel: 10% loss produced no retransmissions".to_string());
-        }
-
-        match read_recorded("availability") {
-            Some(recorded) if (s.availability - recorded).abs() > 0.005 => {
-                failures.push(format!(
-                    "availability {:.4} vs recorded {:.4} (>0.5 points drift); re-record with \
-                     EHDL_WRITE_BENCH=1 if intentional",
-                    s.availability, recorded,
-                ));
-            }
-            Some(recorded) => {
-                println!("slo OK: availability {:.4} vs recorded {recorded:.4}", s.availability);
-            }
-            None => println!("no recorded summary; skipping regression gates"),
-        }
-        if let Some(recorded) = read_recorded("op_p999_cycles") {
-            let drift = (s.op_p999_cycles as f64 - recorded).abs() / recorded.max(1.0);
-            if drift > 0.5 {
-                failures.push(format!(
-                    "op p999 {} cy vs recorded {recorded:.0} cy (>50% drift); re-record with \
-                     EHDL_WRITE_BENCH=1 if intentional",
-                    s.op_p999_cycles,
-                ));
-            }
-        }
-
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("slo REGRESSION: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("slo OK: all gates passed");
-    }
+    let mut rows: Vec<_> = phases.iter().map(|p| p.row()).collect();
+    rows.push(s.row());
+    BENCH.finish(&rows, failures);
 }

@@ -25,11 +25,8 @@ use ehdl_hwsim::{
     ReplicaFaultConfig, ReplicaFaultKind, ShardedNic, SharedMapOptions, SimOptions,
 };
 use ehdl_programs::{dnat, simple_firewall, App};
-use ehdl_runtime::{RetryPolicy, Runtime, RuntimeOptions};
+use ehdl_runtime::{json_obj, Json, RetryPolicy, Runtime, RuntimeOptions};
 use ehdl_traffic::{FlowSet, Popularity, Workload};
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_chaos.json";
 
 /// Replicas in every fault scenario.
 pub const CHAOS_REPLICAS: usize = 4;
@@ -105,6 +102,23 @@ pub struct CtrlChaosRow {
     pub p99_op_latency_cycles: u64,
     /// The completion sequence matched the lossless reference bit-exactly.
     pub reference_identical: bool,
+}
+
+impl ChaosRow {
+    /// The run's row of `BENCH_chaos.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; app, scenario, replicas, packets, injected, detected, masked,
+            detection_latency_max, mean_detection_latency, completed, drained, discarded,
+            dropped, lost, availability, pkts_per_cycle)
+    }
+}
+
+impl CtrlChaosRow {
+    /// The run's row of `BENCH_chaos.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; loss_rate, ops, completed_ops, retries, dup_suppressed, gave_up,
+            p99_op_latency_cycles, reference_identical)
+    }
 }
 
 /// The failure schedule of one scenario, against [`CHAOS_REPLICAS`]
@@ -318,105 +332,9 @@ pub fn measure_all_faults() -> Vec<ChaosRow> {
     out
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the campaign to the tracked JSON file (hand-written — no
-/// serde in the tree; one entry object per line, parsed by
-/// [`read_recorded`] / [`read_ctrl_recorded`]).
-pub fn write_report(rows: &[ChaosRow], ctrl: &[CtrlChaosRow]) -> std::io::Result<()> {
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"scenario\": \"{}\", \"replicas\": {}, \"packets\": {}, \
-             \"injected\": {}, \"detected\": {}, \"masked\": {}, \
-             \"detection_latency_max\": {}, \"mean_detection_latency\": {:.2}, \
-             \"completed\": {}, \"drained\": {}, \"discarded\": {}, \"dropped\": {}, \
-             \"lost\": {}, \"availability\": {:.6}, \"pkts_per_cycle\": {:.6}}}{sep}\n",
-            r.app,
-            r.scenario,
-            r.replicas,
-            r.packets,
-            r.injected,
-            r.detected,
-            r.masked,
-            r.detection_latency_max,
-            r.mean_detection_latency,
-            r.completed,
-            r.drained,
-            r.discarded,
-            r.dropped,
-            r.lost,
-            r.availability,
-            r.pkts_per_cycle,
-        ));
-    }
-    json.push_str("  ],\n  \"ctrl\": [\n");
-    for (i, r) in ctrl.iter().enumerate() {
-        let sep = if i + 1 == ctrl.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"loss_rate\": {:.2}, \"ops\": {}, \"completed_ops\": {}, \"retries\": {}, \
-             \"dup_suppressed\": {}, \"gave_up\": {}, \"p99_op_latency_cycles\": {}, \
-             \"reference_identical\": {}}}{sep}\n",
-            r.loss_rate,
-            r.ops,
-            r.completed_ops,
-            r.retries,
-            r.dup_suppressed,
-            r.gave_up,
-            r.p99_op_latency_cycles,
-            r.reference_identical,
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read one recorded field for an `(app, scenario)` fault entry.
-/// `None` (no recording yet) skips the corresponding gate.
-pub fn read_recorded(app: &str, scenario: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| {
-        l.contains(&format!("\"app\": \"{app}\""))
-            && l.contains(&format!("\"scenario\": \"{scenario}\""))
-    })?;
-    parse_field(line, field)
-}
-
-/// Read one recorded field for a control-loss entry by rate.
-pub fn read_ctrl_recorded(loss_rate: f64, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| l.contains(&format!("\"loss_rate\": {loss_rate:.2},")))?;
-    parse_field(line, field)
-}
-
-pub(crate) fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    let raw = rest[..end].trim();
-    match raw {
-        "true" => Some(1.0),
-        "false" => Some(0.0),
-        _ => raw.parse().ok(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_field_reads_numbers_and_bools() {
-        let json = "{\"availability\": 0.931201, \"reference_identical\": true}";
-        assert_eq!(parse_field(json, "availability"), Some(0.931201));
-        assert_eq!(parse_field(json, "reference_identical"), Some(1.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
 
     #[test]
     fn single_kill_meets_the_availability_and_accounting_gates() {

@@ -16,11 +16,9 @@ use ehdl_hwsim::{
     Scenario, SimOptions,
 };
 use ehdl_programs::{dnat, App};
+use ehdl_runtime::{json_obj, Json};
 
 use crate::{eval_packets, setup_app};
-
-/// Where the recorded campaign lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_fault_campaign.json";
 
 /// Master seed of the recorded campaign.
 pub const CAMPAIGN_SEED: u64 = 7;
@@ -79,6 +77,15 @@ pub struct FaultCampaignRow {
     pub map_clean: bool,
     /// Map backing storage took an unrecovered upset.
     pub map_corrupted: bool,
+}
+
+impl FaultCampaignRow {
+    /// The point's row of `BENCH_fault_campaign.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; app, protect, rate, hang, injected, effective, silent, uncorrectable,
+            coverage, fault_replays, watchdog_resets, pkts_lost, missing, completed,
+            availability, clean, map_clean, map_corrupted)
+    }
 }
 
 /// The campaigned apps: the three stateful designs the hardening
@@ -287,49 +294,6 @@ pub fn reproducible() -> bool {
         && sa.counters() == sb.counters()
         && a.affected == b.affected
         && sa.availability() == sb.availability()
-}
-
-/// The workspace-root path of the recorded campaign.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the campaign to the tracked JSON file.
-pub fn write_report(rows: &[FaultCampaignRow]) -> std::io::Result<()> {
-    std::fs::write(report_path(), render_report(rows))
-}
-
-/// The campaign as the tracked JSON text (no serde in the tree, so the
-/// format is written by hand). Every field is simulated, so a re-run
-/// renders byte-identical text.
-pub fn render_report(rows: &[FaultCampaignRow]) -> String {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"app\": \"{}\", \"protect\": \"{}\", \"rate\": {}, \"hang\": {}, \"injected\": {}, \"effective\": {}, \"silent\": {}, \"uncorrectable\": {}, \"coverage\": {:.4}, \"fault_replays\": {}, \"watchdog_resets\": {}, \"pkts_lost\": {}, \"missing\": {}, \"completed\": {}, \"availability\": {:.4}, \"clean\": {}, \"map_clean\": {}, \"map_corrupted\": {}}}{}\n",
-            r.app,
-            r.protect,
-            r.rate,
-            r.hang,
-            r.injected,
-            r.effective,
-            r.silent,
-            r.uncorrectable,
-            r.coverage,
-            r.fault_replays,
-            r.watchdog_resets,
-            r.pkts_lost,
-            r.missing,
-            r.completed,
-            r.availability,
-            r.clean,
-            r.map_clean,
-            r.map_corrupted,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("]\n");
-    json
 }
 
 #[cfg(test)]

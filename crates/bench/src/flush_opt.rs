@@ -20,10 +20,8 @@ use ehdl_core::{analytical, Compiler, CompilerOptions, PipelineDesign};
 use ehdl_hwsim::{check, PipelineSim, Scenario, SimOptions};
 use ehdl_net::FiveTuple;
 use ehdl_programs::{dnat, App};
+use ehdl_runtime::{json_obj, Json};
 use ehdl_traffic::{FlowSet, Popularity, Workload};
-
-/// Where the recorded sweep lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_flush_opt.json";
 
 /// Back-to-back packets per flow draw: the smallest burst that races the
 /// create-path write (packet 2 reads the connection table before packet
@@ -70,6 +68,15 @@ pub struct FlushOptRow {
     pub opt_dev_pct: f64,
     /// Both designs produced reference-identical outcomes and maps.
     pub identical: bool,
+}
+
+impl FlushOptRow {
+    /// The point's row of `BENCH_flush_opt.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; app, flows, alpha, base_ppc, opt_ppc, gain_pct, base_flushes,
+            opt_flushes, base_replays, opt_replays, k_full, k_partial, base_model, opt_model,
+            base_dev_pct, opt_dev_pct, identical)
+    }
 }
 
 /// The swept (flow count, Zipf α) grid.
@@ -252,48 +259,6 @@ pub fn run() -> Vec<FlushOptRow> {
         }
     }
     rows
-}
-
-/// The workspace-root path of the recorded sweep.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the sweep to the tracked JSON file.
-pub fn write_report(rows: &[FlushOptRow]) -> std::io::Result<()> {
-    std::fs::write(report_path(), render_report(rows))
-}
-
-/// The sweep as the tracked JSON text (no serde in the tree, so the
-/// format is written by hand). Every field is simulated, so a re-run
-/// renders byte-identical text.
-pub fn render_report(rows: &[FlushOptRow]) -> String {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"app\": \"{}\", \"flows\": {}, \"alpha\": {}, \"base_ppc\": {:.4}, \"opt_ppc\": {:.4}, \"gain_pct\": {:.1}, \"base_flushes\": {}, \"opt_flushes\": {}, \"base_replays\": {}, \"opt_replays\": {}, \"k_full\": {}, \"k_partial\": {}, \"base_model\": {:.4}, \"opt_model\": {:.4}, \"base_dev_pct\": {:.1}, \"opt_dev_pct\": {:.1}, \"identical\": {}}}{}\n",
-            r.app,
-            r.flows,
-            r.alpha,
-            r.base_ppc,
-            r.opt_ppc,
-            r.gain_pct,
-            r.base_flushes,
-            r.opt_flushes,
-            r.base_replays,
-            r.opt_replays,
-            r.k_full,
-            r.k_partial,
-            r.base_model,
-            r.opt_model,
-            r.base_dev_pct,
-            r.opt_dev_pct,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("]\n");
-    json
 }
 
 #[cfg(test)]

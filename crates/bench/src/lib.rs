@@ -11,6 +11,7 @@ pub mod absint;
 pub mod chaos;
 pub mod fault_campaign;
 pub mod flush_opt;
+pub mod record;
 pub mod runtime_ops;
 pub mod scale_out;
 pub mod shardcheck;

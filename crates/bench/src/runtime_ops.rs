@@ -9,12 +9,9 @@ use ehdl_core::Compiler;
 use ehdl_hwsim::sim::CLOCK_NS;
 use ehdl_hwsim::CtrlOptions;
 use ehdl_programs::{simple_firewall, App};
-use ehdl_runtime::{PeriodicExporter, Runtime, RuntimeOptions};
+use ehdl_runtime::{json_obj, Json, PeriodicExporter, Runtime, RuntimeOptions};
 use ehdl_traffic::{interleave_ops, ControlOpGen, FlowSet, OpMix, Popularity};
-use std::time::Instant;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_runtime.json";
+use std::time::{Duration, Instant};
 
 /// Host-op behaviour at one packet-interleave rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +49,51 @@ pub struct RuntimeOpsReport {
     pub swap_downtime_ns: f64,
     /// Map entries carried across the swap.
     pub swap_migrated_entries: u64,
-    /// Wall seconds for the fig9a firewall run without telemetry.
-    pub telemetry_base_secs: f64,
+    /// Telemetry polling cost on the fig9a firewall run.
+    pub telemetry: TelemetryCost,
+}
+
+/// The wall-clock cost of telemetry polling on one fig9a firewall run,
+/// each figure the minimum over interleaved repeats.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TelemetryCost {
+    /// Packets polled between snapshots.
+    pub poll_every: usize,
+    /// Wall seconds for the run without telemetry.
+    pub base_secs: f64,
     /// Wall seconds for the same run polling stats + JSON export.
-    pub telemetry_polled_secs: f64,
-    /// Relative overhead of polling: the smallest paired
-    /// (polled − base) delta across rounds over the base time, floor 0.
-    pub telemetry_overhead_frac: f64,
+    pub polled_secs: f64,
+    /// Seconds spent inside the `stats()` + exporter `poll` calls.
+    pub poll_secs: f64,
+    /// `poll_secs / base_secs`: the polling cost over the unpolled run.
+    pub overhead_frac: f64,
     /// Snapshots the exporter emitted during the polled run.
-    pub telemetry_exports: usize,
+    pub exports: usize,
+}
+
+impl OpScenario {
+    /// The scenario's row of `BENCH_runtime.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; op_rate, packets, ops, mean_latency_cycles, max_latency_cycles,
+            host_op_flushes, ops_per_sec_sim)
+    }
+}
+
+impl RuntimeOpsReport {
+    /// The rows of `BENCH_runtime.json`: one per op scenario (keyed by
+    /// `op_rate`), then the `idle`, `swap` and `telemetry` rows.
+    pub fn rows(&self) -> Vec<Json> {
+        let mut rows: Vec<Json> = self.scenarios.iter().map(OpScenario::row).collect();
+        rows.push(json_obj!(self; scenario = "idle",
+            mean_latency_cycles = self.idle_mean_latency_cycles));
+        rows.push(json_obj!(self; scenario = "swap", drain_cycles = self.swap_drain_cycles,
+            config_cycles = self.swap_config_cycles, downtime_cycles = self.swap_downtime_cycles,
+            downtime_ns = self.swap_downtime_ns, migrated_entries = self.swap_migrated_entries));
+        let t = &self.telemetry;
+        rows.push(json_obj!(t; scenario = "telemetry", poll_every, base_secs, polled_secs,
+            poll_secs, overhead_frac, exports));
+        rows
+    }
 }
 
 fn firewall_runtime() -> Runtime {
@@ -141,25 +174,52 @@ fn measure_swap(packets: usize) -> (u64, u64, u64, f64, u64) {
 
 /// Drive the fig9a firewall stream through a [`Runtime`], optionally
 /// polling a stats snapshot + JSON export every `poll_every` packets.
-/// Returns (wall seconds, exports emitted).
-fn timed_run(packets: &[Vec<u8>], poll_every: Option<usize>) -> (f64, usize) {
+/// Returns (wall seconds, seconds inside the polls, exports emitted).
+fn timed_run(packets: &[Vec<u8>], poll_every: Option<usize>) -> (f64, f64, usize) {
     let mut rt = firewall_runtime();
     let mut exporter = PeriodicExporter::new(8_192);
+    let mut polling = Duration::ZERO;
     let start = Instant::now();
     for (i, p) in packets.iter().enumerate() {
         while !rt.enqueue(p.clone()) {
             rt.step();
         }
-        if let Some(every) = poll_every {
-            if i % every == 0 {
-                let stats = rt.stats();
-                exporter.poll(&stats);
-            }
+        if poll_every.is_some_and(|every| i % every == 0) {
+            let t = Instant::now();
+            let stats = rt.stats();
+            exporter.poll(&stats);
+            polling += t.elapsed();
         }
     }
     rt.settle();
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    (wall, exporter.exports().len())
+    (start.elapsed().as_secs_f64(), polling.as_secs_f64(), exporter.exports().len())
+}
+
+/// Time telemetry polling every `poll_every` packets on a fig9a firewall
+/// run of `packets` packets. Each of `repeats` rounds runs the unpolled
+/// and the polled variant back to back and every figure keeps its
+/// minimum, so a load spike on a shared core inflates neither. The
+/// overhead is the time spent in the polls themselves over the unpolled
+/// run: subtracting two noisy run times would bury a µs-scale snapshot.
+pub fn telemetry_cost(packets: usize, poll_every: usize, repeats: usize) -> TelemetryCost {
+    let stream = eval_packets(App::Firewall, packets);
+    let (mut base_secs, mut polled_secs, mut poll_secs) = (f64::MAX, f64::MAX, f64::MAX);
+    let mut exports = 0;
+    for _ in 0..repeats.max(1) {
+        base_secs = base_secs.min(timed_run(&stream, None).0);
+        let (wall, polls, n) = timed_run(&stream, Some(poll_every));
+        polled_secs = polled_secs.min(wall);
+        poll_secs = poll_secs.min(polls);
+        exports = n;
+    }
+    TelemetryCost {
+        poll_every,
+        base_secs,
+        polled_secs,
+        poll_secs,
+        overhead_frac: poll_secs / base_secs,
+        exports,
+    }
 }
 
 /// Measure everything: op scenarios on `op_packets`-packet schedules, a
@@ -172,26 +232,6 @@ pub fn measure(op_packets: usize, telemetry_packets: usize, repeats: usize) -> R
     let idle_mean_latency_cycles = measure_idle_latency();
     let (swap_drain_cycles, swap_config_cycles, swap_downtime_cycles, swap_downtime_ns, migrated) =
         measure_swap(op_packets);
-
-    let stream = eval_packets(App::Firewall, telemetry_packets);
-    // Poll every 2048 packets: ~20 snapshots over the 40k-packet run,
-    // matching a host daemon on a few-hundred-µs timer. Scheduler noise
-    // on a shared machine dwarfs the ~µs cost of a snapshot, so the
-    // overhead is taken as the *smallest paired delta*: each round times
-    // the base and polled variants back to back (where external load is
-    // highly correlated) and only the cleanest round counts.
-    let mut base = f64::MAX;
-    let mut polled = f64::MAX;
-    let mut min_delta = f64::MAX;
-    let mut exports = 0;
-    for _ in 0..repeats.max(1) {
-        let b = timed_run(&stream, None).0;
-        let (p, n) = timed_run(&stream, Some(2048));
-        base = base.min(b);
-        polled = polled.min(p);
-        min_delta = min_delta.min(p - b);
-        exports = n;
-    }
     RuntimeOpsReport {
         scenarios,
         idle_mean_latency_cycles,
@@ -200,89 +240,15 @@ pub fn measure(op_packets: usize, telemetry_packets: usize, repeats: usize) -> R
         swap_downtime_cycles,
         swap_downtime_ns,
         swap_migrated_entries: migrated,
-        telemetry_base_secs: base,
-        telemetry_polled_secs: polled,
-        telemetry_overhead_frac: (min_delta / base).max(0.0),
-        telemetry_exports: exports,
+        // Poll every 2048 packets: ~20 snapshots over the 40k-packet
+        // run, matching a host daemon on a few-hundred-µs timer.
+        telemetry: telemetry_cost(telemetry_packets, 2048, repeats),
     }
-}
-
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize a report to the tracked JSON file (hand-written — no serde
-/// in the tree).
-pub fn write_report(report: &RuntimeOpsReport) -> std::io::Result<()> {
-    let mut s = String::with_capacity(2048);
-    s.push_str("{\n  \"scenarios\": [\n");
-    for (i, sc) in report.scenarios.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"op_rate\": {:.2}, \"packets\": {}, \"ops\": {}, \
-             \"mean_latency_cycles\": {:.2}, \"max_latency_cycles\": {}, \
-             \"host_op_flushes\": {}, \"ops_per_sec_sim\": {:.1}}}{}\n",
-            sc.op_rate,
-            sc.packets,
-            sc.ops,
-            sc.mean_latency_cycles,
-            sc.max_latency_cycles,
-            sc.host_op_flushes,
-            sc.ops_per_sec_sim,
-            if i + 1 < report.scenarios.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"idle_mean_latency_cycles\": {:.2},\n",
-        report.idle_mean_latency_cycles
-    ));
-    s.push_str(&format!("  \"busy_mean_latency_cycles\": {:.2},\n", busy(report)));
-    s.push_str(&format!("  \"swap_drain_cycles\": {},\n", report.swap_drain_cycles));
-    s.push_str(&format!("  \"swap_config_cycles\": {},\n", report.swap_config_cycles));
-    s.push_str(&format!("  \"swap_downtime_cycles\": {},\n", report.swap_downtime_cycles));
-    s.push_str(&format!("  \"swap_downtime_ns\": {:.1},\n", report.swap_downtime_ns));
-    s.push_str(&format!("  \"swap_migrated_entries\": {},\n", report.swap_migrated_entries));
-    s.push_str(&format!("  \"telemetry_base_secs\": {:.6},\n", report.telemetry_base_secs));
-    s.push_str(&format!("  \"telemetry_polled_secs\": {:.6},\n", report.telemetry_polled_secs));
-    s.push_str(&format!("  \"telemetry_overhead_frac\": {:.6},\n", report.telemetry_overhead_frac));
-    s.push_str(&format!("  \"telemetry_exports\": {}\n}}\n", report.telemetry_exports));
-    std::fs::write(report_path(), s)
-}
-
-/// Mean op latency of the busiest recorded scenario.
-pub fn busy(report: &RuntimeOpsReport) -> f64 {
-    report.scenarios.last().map_or(0.0, |s| s.mean_latency_cycles)
-}
-
-/// Recorded (busy mean latency cycles, swap downtime cycles), if present.
-pub fn read_recorded() -> Option<(f64, u64)> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let lat = parse_field(&text, "busy_mean_latency_cycles")?;
-    let downtime = parse_field(&text, "swap_downtime_cycles")? as u64;
-    Some((lat, downtime))
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_field_reads_numbers() {
-        let json =
-            "{\n  \"busy_mean_latency_cycles\": 88.5,\n  \"swap_downtime_cycles\": 4096\n}\n";
-        assert_eq!(parse_field(json, "busy_mean_latency_cycles"), Some(88.5));
-        assert_eq!(parse_field(json, "swap_downtime_cycles"), Some(4096.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
 
     #[test]
     fn small_measurement_is_internally_consistent() {
@@ -298,6 +264,17 @@ mod tests {
         assert!(r.idle_mean_latency_cycles >= 64.0);
         assert!(r.swap_downtime_cycles >= r.swap_config_cycles);
         assert_eq!(r.swap_downtime_cycles, r.swap_drain_cycles + r.swap_config_cycles);
-        assert!(r.telemetry_base_secs > 0.0);
+        assert!(r.telemetry.base_secs > 0.0);
+    }
+
+    #[test]
+    fn telemetry_overhead_is_measured_and_grows_with_polling() {
+        // The fraction is measured, never clamped: polling costs
+        // something, and polling every packet costs more than polling
+        // every 2048.
+        let sparse = telemetry_cost(1_000, 2048, 1);
+        let dense = telemetry_cost(1_000, 1, 1);
+        assert!(sparse.overhead_frac > 0.0, "{sparse:?}");
+        assert!(dense.overhead_frac > sparse.overhead_frac, "{dense:?} vs {sparse:?}");
     }
 }

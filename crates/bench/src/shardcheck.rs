@@ -11,9 +11,7 @@ use ehdl_core::shardcheck::{MergePolicy, ShardError};
 use ehdl_core::{Compiler, CompilerOptions};
 use ehdl_hwsim::{check, fabric_from_plan, merges_from_plan, Divergence, Engine, Scenario};
 use ehdl_programs::App;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_shardcheck.json";
+use ehdl_runtime::{json_obj, Json};
 
 /// Packets per dynamic agreement run. Small: the point is exercising
 /// every map's merge path against the sequential reference, not steady
@@ -54,6 +52,12 @@ impl ShardRow {
         } else {
             self.sound_maps as f64 / self.maps as f64
         }
+    }
+
+    /// The app's row of `BENCH_shardcheck.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; app, maps, sound_maps, sound_fraction = self.sound_fraction(),
+            exact_maps, shared_maps, fabric_banks, agreement_checks, agreement_failures)
     }
 }
 
@@ -205,64 +209,6 @@ pub fn diagnostics_exercised() -> usize {
     seen.len()
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the rows to the tracked JSON file. Keys are flattened to
-/// `"<app>_<field>"` (plus the campaign-wide `diagnostics_exercised`)
-/// so [`read_recorded`] can reuse the same hand-rolled field scanner as
-/// the other bench baselines (no serde in the tree).
-pub fn write_report(rows: &[ShardRow], diagnostics: usize) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut json = String::from("{\n");
-    for r in rows {
-        let _ = write!(
-            json,
-            "  \"{app}_maps\": {},\n  \"{app}_sound_maps\": {},\n  \
-             \"{app}_exact_maps\": {},\n  \"{app}_shared_maps\": {},\n  \
-             \"{app}_fabric_banks\": {},\n  \"{app}_agreement_checks\": {},\n  \
-             \"{app}_agreement_failures\": {},\n",
-            r.maps,
-            r.sound_maps,
-            r.exact_maps,
-            r.shared_maps,
-            r.fabric_banks,
-            r.agreement_checks,
-            r.agreement_failures,
-            app = r.app,
-        );
-    }
-    let _ = writeln!(json, "  \"diagnostics_exercised\": {diagnostics}");
-    json.push_str("}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read the recorded `(sound_maps, exact_maps, agreement_failures)` for
-/// `app`.
-pub fn read_recorded(app: &str) -> Option<(usize, usize, usize)> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let sound = parse_field(&text, &format!("{app}_sound_maps"))? as usize;
-    let exact = parse_field(&text, &format!("{app}_exact_maps"))? as usize;
-    let failures = parse_field(&text, &format!("{app}_agreement_failures"))? as usize;
-    Some((sound, exact, failures))
-}
-
-/// Read the recorded campaign-wide diagnostics-coverage count.
-pub fn read_recorded_diagnostics() -> Option<usize> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    Some(parse_field(&text, "diagnostics_exercised")? as usize)
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -325,15 +271,5 @@ mod tests {
     #[test]
     fn all_four_diagnostics_fire() {
         assert_eq!(diagnostics_exercised(), 4);
-    }
-
-    #[test]
-    fn report_roundtrips_through_json() {
-        let json = "{\n  \"DNAT_sound_maps\": 3,\n  \"DNAT_exact_maps\": 1,\n  \
-                    \"DNAT_agreement_failures\": 0,\n  \"diagnostics_exercised\": 4\n}\n";
-        assert_eq!(parse_field(json, "DNAT_sound_maps"), Some(3.0));
-        assert_eq!(parse_field(json, "DNAT_exact_maps"), Some(1.0));
-        assert_eq!(parse_field(json, "diagnostics_exercised"), Some(4.0));
-        assert_eq!(parse_field(json, "DNAT_missing"), None);
     }
 }

@@ -4,26 +4,24 @@
 //! slow figure regeneration.
 //!
 //! The sweep covers every evaluation app under both plans the simulator
-//! can run — unfused (every op through the generic per-op path, reported
-//! as `"interpreter"`) and fused (reported as `"compiled"`) — and the
-//! recorded baseline keeps one entry per `(app, backend)` pair.
+//! can run — `"unfused"` (every op through the generic per-op path) and
+//! `"fused"` — and the recorded baseline keeps one row per `(app, plan)`
+//! pair.
 
 use crate::{eval_packets, setup_app};
 use ehdl_core::Compiler;
 use ehdl_hwsim::{NicShell, ShellOptions};
 use ehdl_programs::App;
+use ehdl_runtime::{json_obj, Json};
 use std::time::Instant;
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_sim_speed.json";
 
 /// One measured simulator-speed run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSpeedReport {
     /// Application under simulation.
     pub app: String,
-    /// Plan run: `"interpreter"` (unfused) or `"compiled"` (fused).
-    pub backend: String,
+    /// Plan run: `"unfused"` or `"fused"`.
+    pub plan: String,
     /// Packets pushed through the shell.
     pub packets: usize,
     /// Pipeline cycles simulated.
@@ -40,13 +38,11 @@ pub struct SimSpeedReport {
     pub flush_replays: u64,
 }
 
-/// The recorded name of the fused (`"compiled"`) or unfused
-/// (`"interpreter"`) plan.
-pub fn backend_name(fuse: bool) -> &'static str {
-    if fuse {
-        "compiled"
-    } else {
-        "interpreter"
+impl SimSpeedReport {
+    /// The run's row of `BENCH_sim_speed.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; app, plan, packets, cycles, wall_secs, cycles_per_sec, packets_per_sec,
+            flushes, flush_replays)
     }
 }
 
@@ -67,7 +63,7 @@ pub fn measure(app: App, fuse: bool, packets: usize) -> SimSpeedReport {
     let counters = shell.counters();
     SimSpeedReport {
         app: app.name().to_string(),
-        backend: backend_name(fuse).to_string(),
+        plan: if fuse { "fused" } else { "unfused" }.to_string(),
         packets,
         cycles,
         wall_secs,
@@ -89,106 +85,16 @@ pub fn measure_all(packets: usize) -> Vec<SimSpeedReport> {
     out
 }
 
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the sweep to the tracked JSON file (no serde in the tree, so
-/// the format is written by hand — one entry object per line — and parsed
-/// with [`read_recorded`]).
-pub fn write_report(reports: &[SimSpeedReport]) -> std::io::Result<()> {
-    let mut json = String::from("{\n  \"entries\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 == reports.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"backend\": \"{}\", \"packets\": {}, \"cycles\": {}, \
-             \"wall_secs\": {:.6}, \"cycles_per_sec\": {:.1}, \"packets_per_sec\": {:.1}, \
-             \"flushes\": {}, \"flush_replays\": {}}}{sep}\n",
-            r.app,
-            r.backend,
-            r.packets,
-            r.cycles,
-            r.wall_secs,
-            r.cycles_per_sec,
-            r.packets_per_sec,
-            r.flushes,
-            r.flush_replays,
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read one recorded field for an `(app, backend)` entry, if present.
-/// Older single-run recordings have no per-backend entries and return
-/// `None`, which skips the corresponding gate.
-pub fn read_recorded(app: &str, backend: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| {
-        l.contains(&format!("\"app\": \"{app}\""))
-            && l.contains(&format!("\"backend\": \"{backend}\""))
-    })?;
-    parse_field(line, field)
-}
-
-fn parse_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\"");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_field_reads_numbers() {
-        let json = "{\"cycles_per_sec\": 123456.7, \"packets\": 40000}";
-        assert_eq!(parse_field(json, "cycles_per_sec"), Some(123456.7));
-        assert_eq!(parse_field(json, "packets"), Some(40000.0));
-        assert_eq!(parse_field(json, "missing"), None);
-    }
-
-    #[test]
-    fn report_round_trips_per_backend_entries() {
-        let r = |app: &str, backend: &str, pps: f64| SimSpeedReport {
-            app: app.to_string(),
-            backend: backend.to_string(),
-            packets: 64,
-            cycles: 100,
-            wall_secs: 0.5,
-            cycles_per_sec: 200.0,
-            packets_per_sec: pps,
-            flushes: 3,
-            flush_replays: 7,
-        };
-        let entries = [r("firewall", "interpreter", 128.0), r("firewall", "compiled", 1280.0)];
-        let mut json = String::from("{\n  \"entries\": [\n");
-        for (i, e) in entries.iter().enumerate() {
-            let sep = if i + 1 == entries.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"app\": \"{}\", \"backend\": \"{}\", \"packets_per_sec\": {:.1}, \"flushes\": {}}}{sep}\n",
-                e.app, e.backend, e.packets_per_sec, e.flushes,
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        let line = json
-            .lines()
-            .find(|l| l.contains("\"backend\": \"compiled\""))
-            .expect("compiled entry present");
-        assert_eq!(parse_field(line, "packets_per_sec"), Some(1280.0));
-        assert_eq!(parse_field(line, "flushes"), Some(3.0));
-    }
 
     #[test]
     fn measure_small_run_reports_consistent_rates() {
         for fuse in [false, true] {
             let r = measure(App::Firewall, fuse, 512);
             assert_eq!(r.packets, 512);
-            assert_eq!(r.backend, backend_name(fuse));
+            assert_eq!(r.plan, if fuse { "fused" } else { "unfused" });
             assert!(r.cycles > 0);
             assert!(r.cycles_per_sec > 0.0);
             assert!((r.cycles as f64 / r.wall_secs - r.cycles_per_sec).abs() < 1.0);
@@ -196,11 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_deterministic_workload_counters() {
-        let interp = measure(App::Firewall, false, 2_000);
-        let compiled = measure(App::Firewall, true, 2_000);
-        assert_eq!(interp.cycles, compiled.cycles, "cycle-exact across plans");
-        assert_eq!(interp.flushes, compiled.flushes);
-        assert_eq!(interp.flush_replays, compiled.flush_replays);
+    fn plans_agree_on_deterministic_workload_counters() {
+        let unfused = measure(App::Firewall, false, 2_000);
+        let fused = measure(App::Firewall, true, 2_000);
+        assert_eq!(unfused.cycles, fused.cycles, "cycle-exact across plans");
+        assert_eq!(unfused.flushes, fused.flushes);
+        assert_eq!(unfused.flush_replays, fused.flush_replays);
     }
 }

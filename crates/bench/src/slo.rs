@@ -9,24 +9,8 @@
 //! kill-storm recovery, and exactly-once delivery are regressions the
 //! moment they move, not statistics.
 
-use crate::chaos::parse_field;
+use ehdl_runtime::{json_obj, Json};
 use ehdl_serve::{run_campaign, CampaignConfig, CampaignReport};
-
-/// Where the recorded baseline lives, relative to the workspace root.
-pub const REPORT_PATH: &str = "BENCH_slo.json";
-
-/// Availability target of the lossless serving phases.
-pub const TARGET_AVAILABILITY: f64 = 0.999;
-
-/// Request-level availability floor under a single replica kill (with
-/// the host re-offering the punted ingress FIFO).
-pub const KILL_AVAILABILITY_FLOOR: f64 = 0.99;
-
-/// Upper bound on the p999 admission-to-ack op latency, in cycles.
-/// Measured at 96 on the recorded campaign (one ctrl round trip plus
-/// the turn cadence); ~5x headroom so only a real scheduling or
-/// batching regression trips it.
-pub const OP_P999_BOUND_CYCLES: u64 = 512;
 
 /// One phase of the recorded campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +89,25 @@ pub struct SloSummary {
     pub lossy_lost_acked: u64,
 }
 
+impl SloPhaseRow {
+    /// The phase's row of `BENCH_slo.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; name, offered, served, failed, shed, availability)
+    }
+}
+
+impl SloSummary {
+    /// The `summary` row of `BENCH_slo.json`.
+    pub fn row(&self) -> Json {
+        json_obj!(self; name = "summary", availability, error_budget_consumed, op_p50_cycles,
+            op_p99_cycles, op_p999_cycles, pkt_p50_cycles, pkt_p99_cycles, pkt_p999_cycles,
+            swaps, swap_downtime_cycles, ops_in, ops_out, updates_collapsed, lookups_shared,
+            kill_offered, kill_completed, kill_retried, kill_unrecovered, kill_discarded,
+            kill_availability, kill_detected, lossy_accepted, lossy_acked, lossy_gave_up,
+            lossy_retries, lossy_dup_suppressed, lossy_lost_acked)
+    }
+}
+
 /// Run the campaign at the recorded scale and flatten it to rows.
 pub fn measure() -> (Vec<SloPhaseRow>, SloSummary) {
     summarize(&run_campaign(&CampaignConfig::default()))
@@ -156,83 +159,6 @@ pub fn summarize(report: &CampaignReport) -> (Vec<SloPhaseRow>, SloSummary) {
         lossy_lost_acked: report.lossy.lost_acked,
     };
     (phases, summary)
-}
-
-/// The workspace-root path of the recorded baseline.
-pub fn report_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(REPORT_PATH)
-}
-
-/// Serialize the campaign to the tracked JSON file (hand-written — no
-/// serde in the tree; one entry object per line, parsed by
-/// [`read_recorded`] / [`read_phase_recorded`]).
-pub fn write_report(phases: &[SloPhaseRow], s: &SloSummary) -> std::io::Result<()> {
-    let mut json = String::from("{\n  \"phases\": [\n");
-    for (i, p) in phases.iter().enumerate() {
-        let sep = if i + 1 == phases.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"offered\": {}, \"served\": {}, \"failed\": {}, \
-             \"shed\": {}, \"availability\": {:.6}}}{sep}\n",
-            p.name, p.offered, p.served, p.failed, p.shed, p.availability,
-        ));
-    }
-    json.push_str("  ],\n  \"summary\":\n");
-    json.push_str(&format!(
-        "    {{\"availability\": {:.6}, \"error_budget_consumed\": {:.6}, \
-         \"op_p50_cycles\": {}, \"op_p99_cycles\": {}, \"op_p999_cycles\": {}, \
-         \"pkt_p50_cycles\": {}, \"pkt_p99_cycles\": {}, \"pkt_p999_cycles\": {}, \
-         \"swaps\": {}, \"swap_downtime_cycles\": {}, \
-         \"ops_in\": {}, \"ops_out\": {}, \"updates_collapsed\": {}, \"lookups_shared\": {}, \
-         \"kill_offered\": {}, \"kill_completed\": {}, \"kill_retried\": {}, \
-         \"kill_unrecovered\": {}, \"kill_discarded\": {}, \"kill_availability\": {:.6}, \
-         \"kill_detected\": {}, \
-         \"lossy_accepted\": {}, \"lossy_acked\": {}, \"lossy_gave_up\": {}, \
-         \"lossy_retries\": {}, \"lossy_dup_suppressed\": {}, \"lossy_lost_acked\": {}}}\n",
-        s.availability,
-        s.error_budget_consumed,
-        s.op_p50_cycles,
-        s.op_p99_cycles,
-        s.op_p999_cycles,
-        s.pkt_p50_cycles,
-        s.pkt_p99_cycles,
-        s.pkt_p999_cycles,
-        s.swaps,
-        s.swap_downtime_cycles,
-        s.ops_in,
-        s.ops_out,
-        s.updates_collapsed,
-        s.lookups_shared,
-        s.kill_offered,
-        s.kill_completed,
-        s.kill_retried,
-        s.kill_unrecovered,
-        s.kill_discarded,
-        s.kill_availability,
-        s.kill_detected,
-        s.lossy_accepted,
-        s.lossy_acked,
-        s.lossy_gave_up,
-        s.lossy_retries,
-        s.lossy_dup_suppressed,
-        s.lossy_lost_acked,
-    ));
-    json.push_str("}\n");
-    std::fs::write(report_path(), json)
-}
-
-/// Read one recorded summary field. `None` (no recording yet) skips the
-/// corresponding gate.
-pub fn read_recorded(field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| l.contains("\"kill_availability\""))?;
-    parse_field(line, field)
-}
-
-/// Read one recorded field of a campaign phase by name.
-pub fn read_phase_recorded(name: &str, field: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(report_path()).ok()?;
-    let line = text.lines().find(|l| l.contains(&format!("\"name\": \"{name}\"")))?;
-    parse_field(line, field)
 }
 
 #[cfg(test)]

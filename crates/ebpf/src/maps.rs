@@ -273,9 +273,10 @@ impl Map {
         &self.def
     }
 
-    /// Number of live entries.
+    /// Number of live entries, in O(1): every slot is live except those
+    /// on the free list (array maps have none).
     pub fn len(&self) -> usize {
-        self.slab.iter().filter(|e| e.is_some()).count()
+        self.slab.len() - self.free.len()
     }
 
     /// True if no entries are live (never true for array maps).

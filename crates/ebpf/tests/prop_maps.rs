@@ -74,6 +74,7 @@ fn hash_map_matches_model() {
                     }
                 }
             }
+            assert_eq!(map.len(), model.len(), "live-entry count tracks the model");
         }
         // Final contents identical.
         let mut contents: Vec<(u64, u64)> = map
@@ -103,6 +104,7 @@ fn lru_never_full() {
             let k = rng.gen_range_u64(0, 999);
             map.update(&k.to_le_bytes(), &k.to_le_bytes(), UpdateFlags::Any).unwrap();
             assert!(map.len() <= cap as usize);
+            assert_eq!(map.len(), map.iter().count());
             // The just-inserted key is always present.
             assert!(map.lookup(&k.to_le_bytes()).unwrap().is_some());
         }

@@ -11,7 +11,8 @@
 //!   from [`ehdl_traffic::ctrlgen`];
 //! * [`RuntimeStats`] / [`PeriodicExporter`] — telemetry snapshots
 //!   (per-stage occupancy, flush/fault counters, map hit rates, host-op
-//!   latency) serialized to JSON without any external dependency;
+//!   latency) as [`Json`] values, the crate's dependency-free JSON type
+//!   that the bench records share;
 //! * [`Runtime::reload`] — drain-and-swap program replacement: quiesce
 //!   ingress, drain the pipeline, migrate every keyspec-compatible map,
 //!   switch to the new design, and report the measured downtime in
@@ -26,6 +27,7 @@
 #![deny(clippy::unwrap_used)]
 
 mod control;
+mod json;
 mod retry;
 mod telemetry;
 
@@ -33,8 +35,8 @@ pub use control::{
     to_host_op, Runtime, RuntimeOptions, ScheduleReport, SwapError, SwapReport,
     RECONFIG_BASE_CYCLES, RECONFIG_CYCLES_PER_STAGE,
 };
+pub use json::{Json, JsonError};
 pub use retry::{ReliableCtrl, ReliableSnapshot, ReliableStats, RetryPolicy, RELIABLE_SEQ_BASE};
 pub use telemetry::{
-    json_escape, validate_json, CsrSnapshot, MapTelemetry, PeriodicExporter, RuntimeStats,
-    SloSnapshot, StageTelemetry,
+    CsrSnapshot, MapTelemetry, PeriodicExporter, RuntimeStats, SloSnapshot, StageTelemetry,
 };

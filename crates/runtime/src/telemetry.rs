@@ -1,7 +1,9 @@
 //! Telemetry: structured snapshots of a running pipeline and a periodic
-//! JSON exporter (hand-written serialization — the tree carries no serde).
+//! JSON exporter.
 
+use crate::json_obj;
 use crate::retry::ReliableSnapshot;
+use crate::Json;
 use ehdl_hwsim::{CtrlStats, SimCounters, SteeringStats};
 
 /// Per-stage occupancy telemetry.
@@ -114,151 +116,65 @@ pub struct SloSnapshot {
     pub op_p999_cycles: u64,
 }
 
-/// Escape `s` for embedding in a JSON string literal (quotes, backslashes
-/// and control characters — program and map names come from ELF section
-/// strings, which the exporter must not trust to be JSON-clean).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RuntimeStats {
-    /// Serialize the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"program\": \"{}\",\n", json_escape(&self.program)));
-        s.push_str(&format!("  \"epoch\": {},\n", self.epoch));
-        s.push_str(&format!("  \"cycle\": {},\n", self.cycle));
-        s.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
-        s.push_str(&format!("  \"throughput_pps\": {:.1},\n", self.throughput_pps));
-        let c = &self.counters;
-        s.push_str(&format!(
-            "  \"counters\": {{\"injected\": {}, \"completed\": {}, \"rx_dropped\": {}, \
-             \"flushes\": {}, \"flush_replays\": {}, \"bounds_faults\": {}, \
-             \"fault_replays\": {}, \"watchdog_resets\": {}, \"host_ops\": {}, \
-             \"host_op_flushes\": {}, \"mem_stall_cycles\": {}}},\n",
-            c.injected,
-            c.completed,
-            c.rx_dropped,
-            c.flushes,
-            c.flush_replays,
-            c.bounds_faults,
-            c.fault_replays,
-            c.watchdog_resets,
-            c.host_ops,
-            c.host_op_flushes,
-            c.mem_stall_cycles,
-        ));
-        let k = &self.ctrl;
-        s.push_str(&format!(
-            "  \"ctrl\": {{\"submitted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"rejected\": {}, \"flushes\": {}, \"flushed_readers\": {}, \
-             \"mean_latency_cycles\": {:.2}, \"max_latency_cycles\": {}}},\n",
-            k.submitted,
-            k.completed,
-            k.failed,
-            k.rejected,
-            k.flushes,
-            k.flushed_readers,
-            k.mean_latency_cycles(),
-            k.latency_cycles_max,
-        ));
+    /// The snapshot as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("program", Json::from(&self.program)),
+            ("epoch", self.epoch.into()),
+            ("cycle", self.cycle.into()),
+            ("total_cycles", self.total_cycles.into()),
+            ("throughput_pps", self.throughput_pps.into()),
+            (
+                "counters",
+                json_obj!(self.counters; injected, completed, rx_dropped, flushes, flush_replays,
+                    bounds_faults, fault_replays, watchdog_resets, host_ops, host_op_flushes,
+                    mem_stall_cycles),
+            ),
+            (
+                "ctrl",
+                json_obj!(self.ctrl; submitted, completed, failed, rejected, flushes,
+                    flushed_readers, mean_latency_cycles = self.ctrl.mean_latency_cycles(),
+                    max_latency_cycles = self.ctrl.latency_cycles_max),
+            ),
+        ];
         if let Some(r) = &self.reliability {
-            s.push_str(&format!(
-                "  \"reliability\": {{\"ops\": {}, \"completed\": {}, \"retries\": {}, \
-                 \"dup_completions_suppressed\": {}, \"gave_up\": {}, \
-                 \"p99_latency_cycles\": {}}},\n",
-                r.ops,
-                r.completed,
-                r.retries,
-                r.dup_completions_suppressed,
-                r.gave_up,
-                r.p99_latency_cycles,
+            fields.push((
+                "reliability",
+                json_obj!(r; ops, completed, retries, dup_completions_suppressed, gave_up,
+                    p99_latency_cycles),
             ));
         }
         if let Some(o) = &self.slo {
-            s.push_str(&format!(
-                "  \"slo\": {{\"offered\": {}, \"served\": {}, \"failed\": {}, \
-                 \"shed\": {}, \"availability\": {:.6}, \"downtime_cycles\": {}, \
-                 \"error_budget_consumed\": {:.4}, \"burn_rate\": {:.4}, \
-                 \"pkt_latency_cycles\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}, \
-                 \"op_latency_cycles\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}}},\n",
-                o.offered,
-                o.served,
-                o.failed,
-                o.shed,
-                o.availability,
-                o.downtime_cycles,
-                o.error_budget_consumed,
-                o.burn_rate,
-                o.pkt_p50_cycles,
-                o.pkt_p99_cycles,
-                o.pkt_p999_cycles,
-                o.op_p50_cycles,
-                o.op_p99_cycles,
-                o.op_p999_cycles,
+            fields.push((
+                "slo",
+                json_obj!(o; offered, served, failed, shed, availability, downtime_cycles,
+                    error_budget_consumed, burn_rate,
+                    pkt_latency_cycles = json_obj!(o; p50 = o.pkt_p50_cycles,
+                        p99 = o.pkt_p99_cycles, p999 = o.pkt_p999_cycles),
+                    op_latency_cycles = json_obj!(o; p50 = o.op_p50_cycles,
+                        p99 = o.op_p99_cycles, p999 = o.op_p999_cycles)),
             ));
         }
         if let Some(st) = &self.steering {
-            s.push_str(&format!(
-                "  \"steering\": {{\"imbalance\": {:.4}, \"pipelines\": [",
-                st.imbalance
-            ));
-            for i in 0..st.steered.len() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"steered\": {}, \"dropped\": {}, \"pkts_per_cycle\": {:.4}}}",
-                    st.steered[i],
-                    st.dropped.get(i).copied().unwrap_or(0),
-                    st.pkts_per_cycle.get(i).copied().unwrap_or(0.0),
-                ));
-            }
-            s.push_str("]},\n");
-        }
-        s.push_str("  \"stages\": [");
-        for (i, st) in self.stages.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"stage\": {}, \"occupied_cycles\": {}, \"utilization\": {:.4}}}",
-                st.stage, st.occupied_cycles, st.utilization
+            let pipelines = (0..st.steered.len()).map(|i| {
+                json_obj!(st; steered = st.steered[i],
+                    dropped = st.dropped.get(i).copied().unwrap_or(0),
+                    pkts_per_cycle = st.pkts_per_cycle.get(i).copied().unwrap_or(0.0))
+            });
+            fields.push((
+                "steering",
+                json_obj!(st; imbalance, pipelines = pipelines.collect::<Vec<_>>()),
             ));
         }
-        s.push_str("],\n");
-        s.push_str("  \"maps\": [");
-        for (i, m) in self.maps.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"id\": {}, \"name\": \"{}\", \"lookups\": {}, \"hits\": {}, \
-                 \"hit_rate\": {:.4}, \"entries\": {}, \"capacity\": {}}}",
-                m.id,
-                json_escape(&m.name),
-                m.lookups,
-                m.hits,
-                m.hit_rate(),
-                m.entries,
-                m.capacity
-            ));
-        }
-        s.push_str("]\n}\n");
-        s
+        let stages =
+            self.stages.iter().map(|st| json_obj!(st; stage, occupied_cycles, utilization));
+        fields.push(("stages", stages.collect::<Vec<_>>().into()));
+        let maps = self.maps.iter().map(
+            |m| json_obj!(m; id, name, lookups, hits, hit_rate = m.hit_rate(), entries, capacity),
+        );
+        fields.push(("maps", maps.collect::<Vec<_>>().into()));
+        Json::obj(fields)
     }
 }
 
@@ -311,7 +227,7 @@ fn sat32(v: u64) -> u32 {
 pub struct PeriodicExporter {
     interval_cycles: u64,
     next_cycle: u64,
-    exports: Vec<String>,
+    exports: Vec<Json>,
 }
 
 impl PeriodicExporter {
@@ -324,7 +240,7 @@ impl PeriodicExporter {
     /// Offer a snapshot; exports (and returns) its JSON if the interval
     /// elapsed since the last export. Call as often as convenient — the
     /// cadence is governed by `stats.total_cycles`, not by call count.
-    pub fn poll(&mut self, stats: &RuntimeStats) -> Option<&str> {
+    pub fn poll(&mut self, stats: &RuntimeStats) -> Option<&Json> {
         if stats.total_cycles < self.next_cycle {
             return None;
         }
@@ -332,181 +248,13 @@ impl PeriodicExporter {
         let intervals = (stats.total_cycles - self.next_cycle) / self.interval_cycles + 1;
         self.next_cycle += intervals * self.interval_cycles;
         self.exports.push(stats.to_json());
-        self.exports.last().map(String::as_str)
+        self.exports.last()
     }
 
     /// Every snapshot exported so far.
-    pub fn exports(&self) -> &[String] {
+    pub fn exports(&self) -> &[Json] {
         &self.exports
     }
-}
-
-/// Minimal JSON validity checker for the hand-rolled exporters: parses
-/// one complete JSON value (RFC 8259 grammar, no semantic interpretation)
-/// and rejects trailing garbage. The telemetry and bench writers build
-/// JSON with `format!`, so this is the test oracle that catches a stray
-/// quote, comma or unescaped name before a downstream consumer does.
-///
-/// # Errors
-///
-/// A human-readable description with the byte offset of the first
-/// violation.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, "true"),
-        Some(b'f') => parse_lit(b, pos, "false"),
-        Some(b'n') => parse_lit(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
-        None => Err(format!("unexpected end of input at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => match b.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = b
-                        .get(*pos + 2..*pos + 6)
-                        .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("bad \\u escape at byte {}", *pos));
-                    }
-                    *pos += 6;
-                }
-                _ => return Err(format!("bad escape at byte {}", *pos)),
-            },
-            0x00..=0x1f => {
-                return Err(format!("unescaped control character at byte {}", *pos));
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b.get(*pos..*pos + lit.len()) == Some(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| -> bool {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("expected digits at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("expected fraction digits at byte {}", *pos));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("expected exponent digits at byte {}", *pos));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -588,21 +336,19 @@ mod tests {
             slo: None,
         };
         let json = stats.to_json();
-        for key in [
-            "\"program\"",
-            "\"epoch\"",
-            "\"counters\"",
-            "\"ctrl\"",
-            "\"stages\"",
-            "\"maps\"",
-            "\"hit_rate\": 0.4000",
-            "\"utilization\": 0.7000",
-            "\"mean_latency_cycles\"",
-            "\"mem_stall_cycles\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        for key in ["program", "epoch", "counters", "ctrl", "stages", "maps"] {
+            assert!(json.get(key).is_some(), "missing {key} in {json:?}");
         }
-        assert!(!json.contains("\"steering\""), "single-pipeline snapshots omit steering");
+        let field = |section: &str, key: &str| {
+            let v = json.get(section).expect("section present");
+            let v = v.as_array().map_or(v, |items| &items[0]);
+            v.get(key).cloned()
+        };
+        assert_eq!(field("maps", "hit_rate"), Some(Json::Float(0.4)));
+        assert_eq!(field("stages", "utilization"), Some(Json::Float(0.7)));
+        assert!(field("ctrl", "mean_latency_cycles").is_some());
+        assert!(field("counters", "mem_stall_cycles").is_some());
+        assert!(json.get("steering").is_none(), "single-pipeline snapshots omit steering");
     }
 
     fn full_stats() -> RuntimeStats {
@@ -657,70 +403,49 @@ mod tests {
         }
     }
 
+    /// Write then parse, checking the text is valid JSON that reads back
+    /// the same value.
+    fn round_trip(json: &Json) -> String {
+        let text = json.write().expect("finite telemetry writes");
+        assert_eq!(Json::parse(&text).as_ref(), Ok(json), "{text}");
+        text
+    }
+
     #[test]
     fn every_snapshot_shape_serializes_to_valid_json() {
-        // The satellite's coverage bar: the minimal parser accepts every
-        // exported shape — bare, partially-populated, and fully populated
-        // (incl. the SLO section) — and the exporter stream too.
+        // Every exported shape parses back: bare, partially-populated,
+        // and fully populated (incl. the SLO section), and the exporter
+        // stream too.
         let mut stats = full_stats();
-        validate_json(&stats.to_json()).expect("full shape");
+        round_trip(&stats.to_json());
         stats.slo = None;
-        validate_json(&stats.to_json()).expect("no slo");
+        round_trip(&stats.to_json());
         stats.reliability = None;
-        validate_json(&stats.to_json()).expect("no reliability");
+        round_trip(&stats.to_json());
         stats.steering = None;
-        validate_json(&stats.to_json()).expect("bare shape");
+        round_trip(&stats.to_json());
         stats.stages.clear();
         stats.maps.clear();
-        validate_json(&stats.to_json()).expect("empty arrays");
+        round_trip(&stats.to_json());
 
         let mut exp = PeriodicExporter::new(10);
         stats.total_cycles = 30;
         assert!(exp.poll(&stats).is_some());
         for json in exp.exports() {
-            validate_json(json).expect("exporter output");
+            round_trip(json);
         }
     }
 
     #[test]
     fn hostile_names_are_escaped() {
-        // Program and map names come from ELF strings; quotes and
-        // backslashes in them used to produce syntactically broken JSON.
+        // Program and map names come from ELF strings; quotes, backslashes
+        // and control characters in them must not break the JSON.
         let mut stats = full_stats();
         stats.program = "fw\"1.0\"\\prod\n".into();
         stats.maps[0].name = "tab\tle\u{1}".into();
-        let json = stats.to_json();
-        validate_json(&json).unwrap_or_else(|e| panic!("hostile names break JSON: {e}\n{json}"));
+        let json = round_trip(&stats.to_json());
         assert!(json.contains("fw\\\"1.0\\\"\\\\prod\\n"));
         assert!(json.contains("tab\\tle\\u0001"));
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects_correctly() {
-        for good in [
-            "{}",
-            "[]",
-            "  {\"a\": [1, -2.5, 1e9, true, false, null], \"b\": {\"c\": \"d\\\"e\\u00ff\"}} ",
-            "3.25",
-            "\"\"",
-        ] {
-            validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
-        }
-        for bad in [
-            "",
-            "{",
-            "{\"a\": }",
-            "{\"a\": 1,}",
-            "{'a': 1}",
-            "{\"a\": \"unterminated}",
-            "{\"a\": \"bad\\x\"}",
-            "{\"a\": 01e}",
-            "[1, 2",
-            "{} trailing",
-            "{\"a\": \"raw\ncontrol\"}",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted invalid JSON: {bad:?}");
-        }
     }
 
     #[test]
@@ -745,15 +470,12 @@ mod tests {
             pkts_per_cycle: vec![0.25, 0.125],
             imbalance: 1.5,
         });
-        let json = stats.to_json();
-        for key in [
-            "\"steering\"",
-            "\"imbalance\": 1.5000",
-            "\"steered\": 30",
-            "\"dropped\": 2",
-            "\"pkts_per_cycle\": 0.2500",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+        let st = stats.to_json();
+        let st = st.get("steering").expect("steering section");
+        assert_eq!(st.get("imbalance"), Some(&Json::Float(1.5)));
+        let pipes = st.get("pipelines").and_then(Json::as_array).expect("pipelines");
+        assert_eq!(pipes[0].get("steered"), Some(&Json::Int(30)));
+        assert_eq!(pipes[1].get("dropped"), Some(&Json::Int(2)));
+        assert_eq!(pipes[0].get("pkts_per_cycle"), Some(&Json::Float(0.25)));
     }
 }
